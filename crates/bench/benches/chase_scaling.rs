@@ -1,10 +1,10 @@
 //! Benchmark: chase strategy scaling — naive full re-enumeration vs
-//! semi-naive delta rounds vs parallel collection, swept over instance
-//! size and dependency count on the recursive (multi-round) workload.
+//! semi-naive delta rounds, swept over instance size and dependency
+//! count on the recursive (multi-round) workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rde_bench::workloads;
-use rde_chase::{chase, ChaseOptions, ChaseStrategy};
+use rde_chase::{chase, ChaseOptions, ChaseVariant};
 use rde_model::Vocabulary;
 
 fn bench_chase_scaling(c: &mut Criterion) {
@@ -15,15 +15,12 @@ fn bench_chase_scaling(c: &mut Criterion) {
             let deps = workloads::recursive_deps(&mut vocab, extra_deps);
             let instance = workloads::random_graph(&mut vocab, nodes, nodes, 11);
             group.throughput(Throughput::Elements(instance.len() as u64));
-            let configs = [
-                ("naive", ChaseStrategy::Naive, 1usize),
-                ("semi_naive", ChaseStrategy::SemiNaive, 1),
-                ("parallel", ChaseStrategy::SemiNaive, 0),
-            ];
-            for (name, strategy, threads) in configs {
+            for (name, variant) in
+                [("naive", ChaseVariant::Naive), ("semi_naive", ChaseVariant::SemiNaive)]
+            {
                 let id = BenchmarkId::new(name, format!("n{nodes}_d{}", deps.len()));
                 group.bench_with_input(id, &instance, |b, inst| {
-                    let options = ChaseOptions { strategy, threads, ..ChaseOptions::default() };
+                    let options = ChaseOptions::for_variant(variant);
                     b.iter(|| {
                         let mut v = vocab.clone();
                         chase(inst, &deps, &mut v, &options).unwrap()

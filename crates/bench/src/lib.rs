@@ -120,10 +120,7 @@ pub mod workloads {
 
     /// [`recursive_deps`] plus a triangle-listing rule whose third
     /// premise atom arrives fully bound. That atom's candidate set is a
-    /// whole posting list, most of which fails unification — the regime
-    /// the columnar backend's null-pattern buckets prune: rows whose
-    /// null/constant pattern contradicts the bound values are skipped
-    /// without a unification attempt.
+    /// whole posting list, most of which fails unification.
     pub fn triangle_deps(vocab: &mut Vocabulary, extra: usize) -> Vec<rde_deps::Dependency> {
         let mut deps = recursive_deps(vocab, extra);
         deps.push(
@@ -160,8 +157,7 @@ pub mod workloads {
     /// random cycle vertex to a fresh labeled null (alternating which
     /// endpoint is the null). Nulls are the paper's setting — reverse
     /// mappings chase instances that carry them — and the closure `T`
-    /// then mixes null and constant column patterns, the layout the
-    /// columnar backend buckets by.
+    /// then mixes null and constant column patterns.
     pub fn random_graph_nulls(
         vocab: &mut Vocabulary,
         nodes: usize,

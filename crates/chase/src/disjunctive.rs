@@ -28,11 +28,6 @@ pub struct DisjunctiveChaseOptions {
     pub max_facts: usize,
     /// Maximum chase steps (trigger firings across all branches).
     pub max_steps: u64,
-    /// Worker threads for per-branch trigger search: `1` = in-place,
-    /// `0` = all available parallelism. Dependencies are scanned
-    /// concurrently and the lowest dependency index wins, so results do
-    /// not depend on this value.
-    pub threads: usize,
     /// Drop a leaf `V` when another kept leaf `W` satisfies `W → V`:
     /// such a `V` is redundant for the universality condition (3) of
     /// Definition 6.1 (any `I′` it reaches, `W` reaches through it) and
@@ -54,7 +49,6 @@ impl Default for DisjunctiveChaseOptions {
             max_branches: 65_536,
             max_facts: 1_000_000,
             max_steps: 1_000_000,
-            threads: 1,
             prune_subsumed: false,
             ctx: ExecContext::default(),
         }
@@ -125,7 +119,7 @@ pub fn disjunctive_chase(
             rde_obs::event("chase.disj.cancelled", &[("steps", steps.into())]);
             return Err(ChaseError::Cancelled);
         }
-        match next_trigger(&branch, &plans, options.threads) {
+        match next_trigger(&branch, &plans) {
             None => leaves.push(branch.instance),
             Some((di, vals)) => {
                 steps += 1;
@@ -208,52 +202,8 @@ fn first_trigger(di: usize, plan: &DisjPlan, branch: &Branch) -> Option<Vec<Valu
 
 /// Find the first unfired, unsatisfied trigger in a branch:
 /// lowest dependency index, then premise-match order.
-///
-/// With `threads > 1` the dependencies are scanned concurrently (the
-/// search is read-only) and the candidate with the smallest dependency
-/// index wins — the same trigger the sequential scan returns.
-fn next_trigger(
-    branch: &Branch,
-    plans: &[DisjPlan],
-    threads: usize,
-) -> Option<(usize, Vec<Value>)> {
-    let n = plans.len();
-    let threads = crate::standard::effective_threads(threads, n);
-    if threads <= 1 {
-        return plans
-            .iter()
-            .enumerate()
-            .find_map(|(di, p)| first_trigger(di, p, branch).map(|vals| (di, vals)));
-    }
-    let chunk = n.div_ceil(threads);
-    let mut best: Option<(usize, Vec<Value>)> = None;
-    // Carry the caller's ambient request id onto the workers so any
-    // records they emit stay attributed to the owning request.
-    let req_id = rde_obs::request::current();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            handles.push(scope.spawn(move || {
-                let _req = rde_obs::request::enter(req_id);
-                // Within a chunk the sequential order applies, so the
-                // first hit is the chunk's minimum.
-                (lo..hi).find_map(|di| first_trigger(di, &plans[di], branch).map(|vals| (di, vals)))
-            }));
-        }
-        // Chunks are joined in index order: the first Some is the
-        // global minimum dependency index.
-        for h in handles {
-            // A worker panic is re-raised with its original payload
-            // rather than wrapped in a second panic here.
-            let candidate = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            if best.is_none() {
-                best = candidate;
-            }
-        }
-    });
-    best
+fn next_trigger(branch: &Branch, plans: &[DisjPlan]) -> Option<(usize, Vec<Value>)> {
+    plans.iter().enumerate().find_map(|(di, p)| first_trigger(di, p, branch).map(|vals| (di, vals)))
 }
 
 #[cfg(test)]

@@ -41,10 +41,6 @@ pub enum ChaseError {
     /// Checked at round granularity, and propagated from any cancelled
     /// homomorphism search inside the round.
     Cancelled,
-    /// A collection worker thread panicked. The panic payload is
-    /// swallowed (it already printed via the panic hook); the chase
-    /// result would be incomplete, so the run fails instead.
-    WorkerPanic,
     /// Writing or reading a chase checkpoint failed (I/O error, or a
     /// malformed/incompatible snapshot on resume).
     Checkpoint {
@@ -72,7 +68,6 @@ impl fmt::Display for ChaseError {
                 write!(f, "premise matching stopped early: {budget}")
             }
             ChaseError::Cancelled => write!(f, "chase cancelled"),
-            ChaseError::WorkerPanic => write!(f, "a chase collection worker panicked"),
             ChaseError::Checkpoint { message } => write!(f, "chase checkpoint: {message}"),
         }
     }

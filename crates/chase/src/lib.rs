@@ -21,9 +21,7 @@
 //!   [`SatisfactionPlan`], [`FiringTemplate`]): each dependency's
 //!   premise/conclusion is compiled once per chase into
 //!   `rde_hom::CompiledPattern` slot form, and the fixpoint runs
-//!   semi-naive delta rounds with optionally parallel (and always
-//!   deterministic) trigger collection — see [`ChaseStrategy`] and
-//!   `ChaseOptions::threads`.
+//!   deterministic semi-naive delta rounds — see [`ChaseVariant`].
 //!
 //! * [`matching`] — legacy premise matching (enumerating assignments of
 //!   a dependency's premise into an instance), built directly on the
@@ -32,7 +30,7 @@
 //!   Retained for callers that want one-off matches without a plan.
 //!
 //! Both chases fire triggers *obliviously or with a satisfaction check*
-//! (see [`ChaseMode`]); resource limits are explicit and typed.
+//! (see [`ChaseVariant`]); resource limits are explicit and typed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +52,6 @@ pub use disjunctive::{disjunctive_chase, DisjunctiveChaseOptions, DisjunctiveCha
 pub use error::ChaseError;
 pub use plan::{FiringTemplate, MatchReport, PremisePlan, SatisfactionPlan};
 pub use standard::{
-    chase, chase_mapping, chase_mapping_default, ChaseMode, ChaseOptions, ChaseResult,
-    ChaseStrategy, ChaseVariant, FiringRecord, RoundStats,
+    chase, chase_mapping, chase_mapping_default, ChaseOptions, ChaseResult, ChaseVariant,
+    FiringRecord, RoundStats,
 };

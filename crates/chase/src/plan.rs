@@ -10,7 +10,7 @@
 //!   (a [`CompiledPattern`]) plus the guard checks, supporting both
 //!   full enumeration and delta-seeded enumeration for the semi-naive
 //!   rounds;
-//! * a conclusion satisfaction pattern (for [`ChaseMode::Standard`]
+//! * a conclusion satisfaction pattern (for the restricted chase's
 //!   pre-checks), sharing the premise's slot space;
 //! * a [`FiringTemplate`] — the conclusion atoms as value/slot
 //!   instructions, so firing a trigger is a direct copy with no hash
@@ -20,13 +20,6 @@
 //! atoms, i.e. exactly `Dependency::universal_vars()` order — a full
 //! slot assignment `[Value]` therefore doubles as the canonical
 //! trigger key.
-//!
-//! All premise enumeration funnels through [`CompiledPattern`], so the
-//! plans are backend-agnostic: on a columnar instance the hom searcher
-//! additionally prunes candidate rows whose null-pattern bucket
-//! contradicts the bound values (DESIGN.md §13) with no change here.
-//!
-//! [`ChaseMode::Standard`]: crate::ChaseMode::Standard
 
 use rde_deps::{Conjunct, Premise, Term, VarId};
 use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};

@@ -4,21 +4,17 @@
 //! [`SatisfactionPlan`] + [`FiringTemplate`]) and then runs rounds in
 //! two phases:
 //!
-//! 1. **Collect** — enumerate premise matches per dependency. The
-//!    default [`ChaseStrategy::SemiNaive`] strategy enumerates, after
-//!    round 0, only matches that use at least one fact inserted in the
-//!    previous round (seed each premise atom in turn from the delta and
-//!    match the rest against the full instance); every match over older
-//!    facts was enumerated in the round where its newest fact was delta
-//!    and is recorded in `fired_keys`. Collection is read-only, so it
-//!    fans out over [`ChaseOptions::threads`] scoped worker threads,
-//!    and the per-dependency candidate lists are merged in dependency
-//!    order — bit-identical results at any thread count.
+//! 1. **Collect** — enumerate premise matches per dependency. Every
+//!    variant but [`ChaseVariant::Naive`] enumerates, after round 0,
+//!    only matches that use at least one fact inserted in the previous
+//!    round (seed each premise atom in turn from the delta and match
+//!    the rest against the full instance); every match over older facts
+//!    was enumerated in the round where its newest fact was delta and
+//!    is recorded in `fired_keys`.
 //! 2. **Fire** — sort the new triggers by `(dependency, assignment)`
 //!    and fire them sequentially. Fresh nulls are allocated in firing
-//!    order, so the canonical sort makes naive, semi-naive, and
-//!    parallel runs produce **equal** instances, not merely
-//!    hom-equivalent ones.
+//!    order, so the canonical sort makes naive and semi-naive runs
+//!    produce **equal** instances, not merely hom-equivalent ones.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -33,65 +29,36 @@ use crate::checkpoint::{self, CheckpointPolicy, SnapshotRef};
 use crate::plan::{FiringTemplate, PremisePlan, SatisfactionPlan};
 use crate::ChaseError;
 
-/// Trigger-firing discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaseMode {
-    /// Fire every trigger exactly once, always inventing fresh nulls
-    /// (the *naive/oblivious* chase). For s-t tgds this produces the
-    /// canonical universal solution of Fagin–Kolaitis–Miller–Popa, which
-    /// the paper's examples (1.1, 3.18, 3.19) compute; it is the default.
-    #[default]
-    Oblivious,
-    /// Fire a trigger only if no extension of its assignment already
-    /// satisfies the conclusion (the *standard/restricted* chase).
-    /// Produces smaller, hom-equivalent results; useful when chasing
-    /// with same-schema dependency sets.
-    Standard,
-}
-
-/// Trigger-enumeration strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaseStrategy {
-    /// Re-enumerate every premise against the full instance each round.
-    /// Kept for ablation; the results are identical to
-    /// [`ChaseStrategy::SemiNaive`].
-    Naive,
-    /// Delta-driven rounds: after round 0, only enumerate matches using
-    /// at least one fact inserted in the previous round.
-    #[default]
-    SemiNaive,
-}
-
-/// A named point in the Grahne–Onet chase design space: the selector
-/// the CLI (`--variant`), the serve `variant` request header, and the
-/// per-variant round metrics all speak. Each variant resolves to a
-/// ([`ChaseMode`], [`ChaseStrategy`]) pair on [`ChaseOptions`]; the two
-/// axes stay independently settable for ablation, and
-/// [`ChaseOptions::variant`] maps any combination back to its name
-/// (every Standard-mode run reports as `restricted`).
+/// A named point in the Grahne–Onet chase design space: the one
+/// selector [`ChaseOptions`], the CLI (`--variant`), the serve `variant`
+/// request header, and the per-variant round metrics all speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaseVariant {
-    /// Oblivious firing, full re-enumeration every round
-    /// ([`ChaseMode::Oblivious`] + [`ChaseStrategy::Naive`]).
+    /// Oblivious firing (every trigger fires once, always inventing
+    /// fresh nulls), full re-enumeration every round. Kept for
+    /// ablation; its results are identical to
+    /// [`ChaseVariant::SemiNaive`].
     Naive,
-    /// Oblivious firing, delta-driven rounds
-    /// ([`ChaseMode::Oblivious`] + [`ChaseStrategy::SemiNaive`]).
+    /// Oblivious firing, delta-driven rounds: after round 0, only
+    /// matches using at least one fact inserted in the previous round
+    /// are enumerated. For s-t tgds this produces the canonical
+    /// universal solution of Fagin–Kolaitis–Miller–Popa, which the
+    /// paper's examples (1.1, 3.18, 3.19) compute; it is the default.
     SemiNaive,
-    /// The restricted (non-oblivious) chase: a trigger whose conclusion
-    /// is already satisfied in the live instance is skipped, checked
-    /// with the compiled [`SatisfactionPlan`]s
-    /// ([`ChaseMode::Standard`] + [`ChaseStrategy::SemiNaive`]).
-    /// Hom-equivalent to the oblivious variants on terminating inputs,
-    /// with smaller results; terminates on strictly more inputs.
+    /// The restricted (non-oblivious) chase with delta-driven rounds: a
+    /// trigger whose conclusion is already satisfied in the live
+    /// instance is skipped, checked with the compiled
+    /// [`SatisfactionPlan`]s. Hom-equivalent to the oblivious variants
+    /// on terminating inputs, with smaller results; terminates on
+    /// strictly more inputs.
     Restricted,
 }
 
 impl Default for ChaseVariant {
     /// [`ChaseVariant::SemiNaive`] normally. The `restricted-default`
-    /// cargo feature flips it to [`ChaseVariant::Restricted`]
-    /// (mirroring `rde-model/columnar-default`) so the whole test suite
-    /// replays under the restricted chase; tests about a *specific*
-    /// variant's semantics must name it explicitly.
+    /// cargo feature flips it to [`ChaseVariant::Restricted`] so the
+    /// whole test suite replays under the restricted chase; tests about
+    /// a *specific* variant's semantics must name it explicitly.
     fn default() -> Self {
         if cfg!(feature = "restricted-default") {
             ChaseVariant::Restricted
@@ -105,22 +72,6 @@ impl ChaseVariant {
     /// Every variant, in CLI order. Differential tests sweep this.
     pub const ALL: [ChaseVariant; 3] =
         [ChaseVariant::Naive, ChaseVariant::SemiNaive, ChaseVariant::Restricted];
-
-    /// The firing discipline this variant resolves to.
-    pub fn mode(self) -> ChaseMode {
-        match self {
-            ChaseVariant::Naive | ChaseVariant::SemiNaive => ChaseMode::Oblivious,
-            ChaseVariant::Restricted => ChaseMode::Standard,
-        }
-    }
-
-    /// The trigger-enumeration strategy this variant resolves to.
-    pub fn strategy(self) -> ChaseStrategy {
-        match self {
-            ChaseVariant::Naive => ChaseStrategy::Naive,
-            ChaseVariant::SemiNaive | ChaseVariant::Restricted => ChaseStrategy::SemiNaive,
-        }
-    }
 
     /// The wire/CLI name, also used as the `variant` metric label.
     pub fn name(self) -> &'static str {
@@ -153,16 +104,11 @@ impl std::str::FromStr for ChaseVariant {
     }
 }
 
-/// Budgets, mode, and strategy for the standard chase.
+/// Variant and budgets for the standard chase.
 #[derive(Debug, Clone)]
 pub struct ChaseOptions {
-    /// Firing discipline.
-    pub mode: ChaseMode,
-    /// Trigger-enumeration strategy.
-    pub strategy: ChaseStrategy,
-    /// Worker threads for the collection phase: `1` = in-place, `0` =
-    /// all available parallelism. Results do not depend on this value.
-    pub threads: usize,
+    /// Which chase to run.
+    pub variant: ChaseVariant,
     /// Maximum number of parallel rounds. Source-to-target tgds always
     /// finish in one round plus one quiescence check.
     pub max_rounds: u64,
@@ -173,7 +119,7 @@ pub struct ChaseOptions {
     /// Off by default — tracing costs memory proportional to the chase.
     pub trace: bool,
     /// Budgets for the homomorphism searches behind premise matching and
-    /// Standard-mode satisfaction checks. Unbounded by default; when a
+    /// restricted-chase satisfaction checks. Unbounded by default; when a
     /// budget cuts a search short the chase returns
     /// [`ChaseError::MatchBudgetExhausted`] rather than an unsound
     /// result.
@@ -197,11 +143,8 @@ pub struct ChaseOptions {
 
 impl Default for ChaseOptions {
     fn default() -> Self {
-        let variant = ChaseVariant::default();
         ChaseOptions {
-            mode: variant.mode(),
-            strategy: variant.strategy(),
-            threads: 1,
+            variant: ChaseVariant::default(),
             max_rounds: 256,
             max_facts: 1_000_000,
             trace: false,
@@ -214,29 +157,9 @@ impl Default for ChaseOptions {
 }
 
 impl ChaseOptions {
-    /// Default options resolved for a named variant.
+    /// Default options for a named variant.
     pub fn for_variant(variant: ChaseVariant) -> ChaseOptions {
-        ChaseOptions::default().with_variant(variant)
-    }
-
-    /// Set the (mode, strategy) pair from a named variant.
-    #[must_use]
-    pub fn with_variant(mut self, variant: ChaseVariant) -> ChaseOptions {
-        self.mode = variant.mode();
-        self.strategy = variant.strategy();
-        self
-    }
-
-    /// The named variant these options occupy. The Standard firing
-    /// discipline defines the restricted chase, so any Standard-mode
-    /// combination reports as [`ChaseVariant::Restricted`] regardless
-    /// of enumeration strategy.
-    pub fn variant(&self) -> ChaseVariant {
-        match (self.mode, self.strategy) {
-            (ChaseMode::Standard, _) => ChaseVariant::Restricted,
-            (ChaseMode::Oblivious, ChaseStrategy::Naive) => ChaseVariant::Naive,
-            (ChaseMode::Oblivious, ChaseStrategy::SemiNaive) => ChaseVariant::SemiNaive,
-        }
+        ChaseOptions { variant, ..ChaseOptions::default() }
     }
 }
 
@@ -257,23 +180,23 @@ pub struct FiringRecord {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundStats {
     /// Facts that drove this round's matching: the previous round's
-    /// insertions under [`ChaseStrategy::SemiNaive`] (the input size
-    /// for round 0), the whole instance under [`ChaseStrategy::Naive`].
+    /// insertions under the delta-driven variants (the input size for
+    /// round 0), the whole instance under [`ChaseVariant::Naive`].
     pub delta: usize,
     /// Premise matches enumerated during collection (pre-guard).
     pub matches: u64,
     /// Matches dropped as already fired or already seen this round.
     pub duplicates: u64,
-    /// Triggers skipped by the [`ChaseMode::Standard`] pre-check.
+    /// Triggers skipped by the [`ChaseVariant::Restricted`] pre-check.
     pub satisfied: u64,
     /// New triggers pending after the merge.
     pub triggers: usize,
-    /// Triggers actually fired (Standard-mode rechecks can skip more).
+    /// Triggers actually fired (restricted-chase rechecks can skip more).
     pub fired: u64,
     /// Facts newly inserted by this round's firings.
     pub inserted: usize,
     /// Homomorphism-search work done this round (premise matching plus
-    /// Standard-mode satisfaction checks and rechecks).
+    /// restricted-chase satisfaction checks and rechecks).
     pub hom: HomStats,
 }
 
@@ -298,7 +221,7 @@ pub struct ChaseResult {
 }
 
 /// A dependency compiled for the chase hot path: premise plan,
-/// Standard-mode satisfaction check, and firing template, plus the
+/// restricted-chase satisfaction check, and firing template, plus the
 /// hoisted universal-variable list (slot order).
 struct DepPlan {
     premise: PremisePlan,
@@ -310,7 +233,7 @@ struct DepPlan {
 #[derive(Default)]
 struct DepCandidates {
     /// `(assignment, satisfied)`: slot-ordered values, and whether the
-    /// Standard pre-check found the conclusion already witnessed.
+    /// restricted pre-check found the conclusion already witnessed.
     list: Vec<(Vec<Value>, bool)>,
     matches: u64,
     duplicates: u64,
@@ -318,10 +241,9 @@ struct DepCandidates {
 }
 
 /// A round's delta facts grouped by relation, built once per round and
-/// shared (read-only) by every dependency's collection — the same
-/// bucketing idea the columnar store applies to whole relations,
-/// applied to the delta: seeding atom `k` touches only the delta facts
-/// of atom `k`'s relation instead of filtering the full delta per atom.
+/// shared (read-only) by every dependency's collection: seeding atom
+/// `k` touches only the delta facts of atom `k`'s relation instead of
+/// filtering the full delta per atom.
 /// Per-relation order is the delta's insertion order, so the seeded
 /// enumeration visits exactly the facts the ungrouped scan would have,
 /// in the same order — required for bit-identical trigger order.
@@ -344,9 +266,9 @@ impl<'a> DeltaBuckets<'a> {
     }
 }
 
-/// Enumerate one dependency's new triggers against `current`,
-/// read-only. `delta` is `None` for a full enumeration (round 0 /
-/// naive) and `Some(buckets)` for a semi-naive delta round. Fails with
+/// Enumerate one dependency's new triggers against `current`. `delta`
+/// is `None` for a full enumeration (round 0 / naive) and
+/// `Some(buckets)` for a semi-naive delta round. Fails with
 /// [`ChaseError::MatchBudgetExhausted`] when a search hits `hom`'s
 /// budget: a truncated enumeration could silently miss triggers, so the
 /// chase refuses to continue from it.
@@ -356,7 +278,7 @@ fn collect_dep(
     current: &Instance,
     fired_keys: &[FxHashSet<Vec<Value>>],
     delta: Option<&DeltaBuckets<'_>>,
-    mode: ChaseMode,
+    restricted: bool,
     hom: &HomConfig,
 ) -> Result<DepCandidates, ChaseError> {
     let mut out = DepCandidates::default();
@@ -378,11 +300,11 @@ fn collect_dep(
             // torn index, a poisoned backend). It must surface exactly
             // like a genuine budget cut — a typed error, never a
             // silently unsound skip-or-fire decision.
-            if mode == ChaseMode::Standard && hom.ctx.should_inject("chase.restricted.check") {
+            if restricted && hom.ctx.should_inject("chase.restricted.check") {
                 exhausted.set(Some(Exhausted::Nodes(0)));
                 return false;
             }
-            let satisfied = mode == ChaseMode::Standard
+            let satisfied = restricted
                 && match plan.satisfaction.satisfiable_budgeted(current, vals, hom, &mut stats) {
                     Verdict::Holds => true,
                     Verdict::Fails => false,
@@ -434,15 +356,6 @@ fn collect_dep(
         Some(budget) => Err(ChaseError::MatchBudgetExhausted { budget }),
         None => Ok(out),
     }
-}
-
-pub(crate) fn effective_threads(requested: usize, n_deps: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    t.min(n_deps.max(1))
 }
 
 /// Chase `instance` with `dependencies` (each must have exactly one
@@ -500,7 +413,8 @@ pub fn chase(
     // Previous round's insertions; `None` = enumerate everything (the
     // first round, and every round under the naive strategy).
     let mut delta: Option<Vec<Fact>> = None;
-    let semi_naive = options.strategy == ChaseStrategy::SemiNaive;
+    let semi_naive = options.variant != ChaseVariant::Naive;
+    let restricted = options.variant == ChaseVariant::Restricted;
     // The round's hom searches inherit the chase's context, so
     // cancellation also cuts *within* a round at node-stride
     // granularity and the scoped injector reaches the
@@ -536,10 +450,7 @@ pub fn chase(
                 message: "snapshot null count conflicts with named nulls".to_owned(),
             });
         }
-        // Checkpoint bytes are backend-agnostic; land the loaded
-        // instance on the input's backend so a resumed run uses the
-        // same layout (and telemetry) as an uninterrupted one.
-        current = snap.instance.into_backend(current.backend());
+        current = snap.instance;
         fired_keys = snap.fired_keys;
         fired = snap.fired;
         rounds = snap.rounds;
@@ -572,73 +483,15 @@ pub fn chase(
         );
         let round_start = Instant::now();
         // Phase 1: collect this round's new triggers against the
-        // *current* state. Read-only, so dependencies fan out across
-        // worker threads; merging in dependency index order keeps the
-        // outcome independent of the thread count.
+        // *current* state, in dependency order.
         let delta_slice = delta.as_deref();
         let delta_buckets = delta_slice.map(DeltaBuckets::new);
         let db = delta_buckets.as_ref();
-        let threads = effective_threads(options.threads, plans.len());
-        let chunk = plans.len().div_ceil(threads).max(1);
-        let collected: Result<Vec<DepCandidates>, ChaseError> = if threads <= 1 {
-            plans
-                .iter()
-                .enumerate()
-                .map(|(di, p)| {
-                    collect_dep(di, p, &current, &fired_keys, db, options.mode, &hom_cfg)
-                })
-                .collect()
-        } else {
-            let n = plans.len();
-            let mut partials: Vec<Vec<Result<DepCandidates, ChaseError>>> = Vec::new();
-            // Journal attribution: worker threads start with no ambient
-            // request id, so re-install the owning request's id (from
-            // the context, else whatever is ambient on this thread) or
-            // their `chase.dep` events would come out unstamped.
-            let req_id = match options.ctx.request_id {
-                0 => rde_obs::request::current(),
-                id => id,
-            };
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    let plans = &plans;
-                    let current = &current;
-                    let fired_keys = &fired_keys;
-                    let hom = &hom_cfg;
-                    handles.push(scope.spawn(move || {
-                        let _req = rde_obs::request::enter(req_id);
-                        (lo..hi)
-                            .map(|di| {
-                                collect_dep(
-                                    di,
-                                    &plans[di],
-                                    current,
-                                    fired_keys,
-                                    db,
-                                    options.mode,
-                                    hom,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                let mut panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => partials.push(part),
-                        Err(_) => panicked = true,
-                    }
-                }
-                if panicked {
-                    partials.clear();
-                    partials.push(vec![Err(ChaseError::WorkerPanic)]);
-                }
-            });
-            partials.into_iter().flatten().collect()
-        };
+        let collected: Result<Vec<DepCandidates>, ChaseError> = plans
+            .iter()
+            .enumerate()
+            .map(|(di, p)| collect_dep(di, p, &current, &fired_keys, db, restricted, &hom_cfg))
+            .collect();
         let per_dep = match collected {
             Ok(per_dep) => per_dep,
             // A search cancelled mid-round surfaces as a match-budget
@@ -670,14 +523,12 @@ pub fn chase(
             stats.hom += cands.hom;
             if journal_on && (cands.matches > 0 || !cands.list.is_empty()) {
                 // Per-dependency attribution: which dependency produced
-                // how many triggers, and which collection worker ran it
-                // (deps are chunked contiguously across workers).
+                // how many triggers.
                 rde_obs::event(
                     "chase.dep",
                     &[
                         ("round", rounds.into()),
                         ("dep", di.into()),
-                        ("worker", (if threads <= 1 { 0 } else { di / chunk }).into()),
                         ("matches", cands.matches.into()),
                         ("triggers", cands.list.len().into()),
                     ],
@@ -717,14 +568,13 @@ pub fn chase(
 
         // Phase 2: fire sequentially in canonical order. Sorting by
         // `(dependency, assignment)` pins the fresh-null allocation
-        // order, so every strategy/thread-count combination yields the
-        // same instance.
+        // order, so naive and semi-naive rounds yield the same instance.
         pending.sort_unstable();
         let mut new_delta: Vec<Fact> = Vec::new();
         let mut fact_buf: Vec<Fact> = Vec::new();
         for (di, vals) in pending {
             let plan = &plans[di];
-            if options.mode == ChaseMode::Standard {
+            if restricted {
                 // Same chaos point as the collection-phase pre-check:
                 // the sequential re-check can die too, and must fail
                 // just as loudly.
@@ -797,7 +647,7 @@ pub fn chase(
         // wall time plus cumulative trigger/fact counters. Each round
         // also lands on a per-variant labeled series so naive /
         // semi-naive / restricted runs are separable in one registry.
-        let variant_label = [("variant", options.variant().name())];
+        let variant_label = [("variant", options.variant.name())];
         rde_obs::counter!("chase.rounds").inc();
         rde_obs::labeled_counter("chase.rounds", &variant_label).inc();
         rde_obs::counter!("chase.matches").add(stats.matches);
@@ -953,7 +803,7 @@ mod tests {
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::SemiNaive))
                 .unwrap();
         assert_eq!(oblivious.len(), 2);
-        let opts = ChaseOptions { mode: ChaseMode::Standard, ..ChaseOptions::default() };
+        let opts = ChaseOptions::for_variant(ChaseVariant::Restricted);
         let standard = chase_mapping(&i, &m, &mut v, &opts).unwrap();
         // Second trigger (a, c) is satisfied by the first firing's Q(a, Z).
         assert_eq!(standard.len(), 1);
@@ -993,7 +843,7 @@ mod tests {
         let e = v.relation("E", 2).unwrap();
         let dep = rde_deps::parse_dependency(&mut v, "E(x, y) & E(y, z) -> E(x, z)").unwrap();
         let i = parse_instance(&mut v, "E(a,b)\nE(b,c)\nE(c,d)").unwrap();
-        let opts = ChaseOptions { mode: ChaseMode::Standard, ..ChaseOptions::default() };
+        let opts = ChaseOptions::for_variant(ChaseVariant::Restricted);
         let r = chase(&i, &[dep], &mut v, &opts).unwrap();
         assert_eq!(r.instance.relation(e).unwrap().len(), 6); // transitive closure of a 4-chain
     }
@@ -1070,50 +920,32 @@ mod tests {
         let i = parse_instance(&mut v, "P(a,b)\nP(b,a)").unwrap();
         let r1 = chase(&i, &m.dependencies, &mut v, &ChaseOptions::default()).unwrap();
         // A satisfaction-checking re-chase is quiescent: (I, J) ⊨ Σ.
-        let opts = ChaseOptions { mode: ChaseMode::Standard, ..ChaseOptions::default() };
+        let opts = ChaseOptions::for_variant(ChaseVariant::Restricted);
         let r2 = chase(&r1.instance, &m.dependencies, &mut v, &opts).unwrap();
         assert_eq!(r1.instance, r2.instance);
         assert_eq!(r2.fired, 0, "every trigger is already satisfied");
     }
 
-    /// Run one dependency set under both strategies and a parallel
-    /// variant, returning the three results.
-    fn all_strategies(deps: &[&str], instance_text: &str, mode: ChaseMode) -> Vec<ChaseResult> {
-        [
-            ChaseOptions { mode, strategy: ChaseStrategy::Naive, ..ChaseOptions::default() },
-            ChaseOptions { mode, strategy: ChaseStrategy::SemiNaive, ..ChaseOptions::default() },
-            ChaseOptions {
-                mode,
-                strategy: ChaseStrategy::SemiNaive,
-                threads: 4,
-                ..ChaseOptions::default()
-            },
-        ]
-        .iter()
-        .map(|opts| {
-            let mut v = Vocabulary::new();
-            let parsed: Vec<Dependency> =
-                deps.iter().map(|d| rde_deps::parse_dependency(&mut v, d).unwrap()).collect();
-            let i = parse_instance(&mut v, instance_text).unwrap();
-            chase(&i, &parsed, &mut v, opts).unwrap()
-        })
-        .collect()
-    }
-
     #[test]
     fn strategies_produce_equal_instances() {
-        // A multi-round recursive chase exercising the delta rounds.
+        // A multi-round recursive chase exercising the delta rounds: the
+        // naive and semi-naive enumerations must agree exactly.
         let deps =
             &["E(x,y) -> T(x,y)", "T(x,y) & T(y,z) -> T(x,z)", "T(x,y) -> exists w . S(y, w)"];
         let inst = "E(a,b)\nE(b,c)\nE(c,d)\nE(d,e)";
-        for mode in [ChaseMode::Oblivious, ChaseMode::Standard] {
-            let rs = all_strategies(deps, inst, mode);
-            for r in &rs[1..] {
-                assert_eq!(r.instance, rs[0].instance, "{mode:?}");
-                assert_eq!(r.fired, rs[0].fired, "{mode:?}");
-                assert_eq!(r.rounds, rs[0].rounds, "{mode:?}");
-            }
-        }
+        let rs: Vec<ChaseResult> = [ChaseVariant::Naive, ChaseVariant::SemiNaive]
+            .into_iter()
+            .map(|variant| {
+                let mut v = Vocabulary::new();
+                let parsed: Vec<Dependency> =
+                    deps.iter().map(|d| rde_deps::parse_dependency(&mut v, d).unwrap()).collect();
+                let i = parse_instance(&mut v, inst).unwrap();
+                chase(&i, &parsed, &mut v, &ChaseOptions::for_variant(variant)).unwrap()
+            })
+            .collect();
+        assert_eq!(rs[1].instance, rs[0].instance);
+        assert_eq!(rs[1].fired, rs[0].fired);
+        assert_eq!(rs[1].rounds, rs[0].rounds);
     }
 
     #[test]
@@ -1129,10 +961,6 @@ mod tests {
         };
         let err = chase(&i, &m.dependencies, &mut v, &opts).unwrap_err();
         assert!(matches!(err, ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) }));
-        // The same holds on the parallel collection path.
-        let opts = ChaseOptions { threads: 4, ..opts };
-        let err = chase(&i, &m.dependencies, &mut v, &opts).unwrap_err();
-        assert!(matches!(err, ChaseError::MatchBudgetExhausted { .. }));
         // An adequate budget completes normally.
         let opts = ChaseOptions {
             hom: HomConfig { node_budget: Some(1_000_000), ..HomConfig::default() },
@@ -1150,7 +978,7 @@ mod tests {
             .unwrap();
         let i = parse_instance(&mut v, "P(a, b)\nP(a, c)").unwrap();
         let opts = ChaseOptions {
-            mode: ChaseMode::Standard,
+            variant: ChaseVariant::Restricted,
             hom: HomConfig { node_budget: Some(1), ..HomConfig::default() },
             ..ChaseOptions::default()
         };
@@ -1174,7 +1002,7 @@ mod tests {
         let i = parse_instance(&mut v, "T(a,b)\nT(b,c)\nT(c,d)").unwrap();
         // Naive strategy: the final quiescence check re-enumerates the
         // full instance, so its work is visible in the total.
-        let opts = ChaseOptions { strategy: ChaseStrategy::Naive, ..ChaseOptions::default() };
+        let opts = ChaseOptions::for_variant(ChaseVariant::Naive);
         let r = chase(&i, &[dep], &mut v, &opts).unwrap();
         let per_round: u64 = r.round_stats.iter().map(|s| s.hom.nodes).sum();
         assert!(per_round > 0, "premise matching does search work");
@@ -1301,25 +1129,11 @@ mod tests {
     }
 
     #[test]
-    fn variants_resolve_to_their_mode_strategy_pairs() {
-        assert_eq!(ChaseVariant::Naive.mode(), ChaseMode::Oblivious);
-        assert_eq!(ChaseVariant::Naive.strategy(), ChaseStrategy::Naive);
-        assert_eq!(ChaseVariant::SemiNaive.mode(), ChaseMode::Oblivious);
-        assert_eq!(ChaseVariant::SemiNaive.strategy(), ChaseStrategy::SemiNaive);
-        assert_eq!(ChaseVariant::Restricted.mode(), ChaseMode::Standard);
-        assert_eq!(ChaseVariant::Restricted.strategy(), ChaseStrategy::SemiNaive);
-        // Round-trip: options built from a variant report that variant.
+    fn variant_names_round_trip() {
         for v in ChaseVariant::ALL {
-            assert_eq!(ChaseOptions::for_variant(v).variant(), v);
+            assert_eq!(ChaseOptions::for_variant(v).variant, v);
             assert_eq!(v.name().parse::<ChaseVariant>().unwrap(), v);
         }
-        // A Standard-mode ablation combo still reports as restricted.
-        let odd = ChaseOptions {
-            mode: ChaseMode::Standard,
-            strategy: ChaseStrategy::Naive,
-            ..ChaseOptions::default()
-        };
-        assert_eq!(odd.variant(), ChaseVariant::Restricted);
         assert!("oblivious".parse::<ChaseVariant>().is_err());
     }
 

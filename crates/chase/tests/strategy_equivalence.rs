@@ -1,13 +1,15 @@
-//! Exact-equality properties of the chase strategies.
+//! Exact-equality properties of the chase variants.
 //!
-//! The semi-naive (delta-driven) and parallel collection paths are
-//! pure optimizations: with the canonical `(dependency, assignment)`
-//! firing order they must produce instances **equal** to the naive
-//! full-re-enumeration chase — same facts, same fresh-null ids — and
-//! identical `fired`/`rounds` counters, in both firing modes.
+//! Semi-naive (delta-driven) enumeration is a pure optimization: with
+//! the canonical `(dependency, assignment)` firing order it must
+//! produce instances **equal** to the naive full-re-enumeration chase —
+//! same facts, same fresh-null ids — and identical `fired`/`rounds`
+//! counters. The restricted chase skips satisfied triggers, so it is
+//! held to hom-equivalence with the naive baseline instead, and every
+//! variant must be reproducible run to run.
 
 use proptest::prelude::*;
-use rde_chase::{chase, ChaseMode, ChaseOptions, ChaseResult, ChaseStrategy};
+use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant};
 use rde_deps::{parse_dependency, Dependency};
 use rde_model::{Fact, Instance, Vocabulary};
 
@@ -56,16 +58,9 @@ fn setup(
     (vocab, deps, instance)
 }
 
-fn run(
-    picks: &[bool],
-    facts: &[(bool, u8, bool, u8)],
-    mode: ChaseMode,
-    strategy: ChaseStrategy,
-    threads: usize,
-) -> ChaseResult {
+fn run(picks: &[bool], facts: &[(bool, u8, bool, u8)], variant: ChaseVariant) -> ChaseResult {
     let (mut vocab, deps, instance) = setup(picks, facts);
-    let options = ChaseOptions { mode, strategy, threads, ..ChaseOptions::default() };
-    chase(&instance, &deps, &mut vocab, &options).unwrap()
+    chase(&instance, &deps, &mut vocab, &ChaseOptions::for_variant(variant)).unwrap()
 }
 
 fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<(bool, u8, bool, u8)>> {
@@ -79,37 +74,26 @@ fn dep_picks() -> impl Strategy<Value = Vec<bool>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Oblivious mode: semi-naive and parallel runs equal the naive
-    /// baseline exactly — instance (same null ids!), fired, rounds.
+    /// Sweep every variant against the naive baseline: the oblivious
+    /// variants equal it exactly — instance (same null ids!), fired,
+    /// rounds — and the restricted chase is hom-equivalent to it,
+    /// firing no more triggers. Each variant reproduces itself exactly.
     #[test]
-    fn oblivious_strategies_are_equal(picks in dep_picks(), facts in abstract_facts(6)) {
-        let base = run(&picks, &facts, ChaseMode::Oblivious, ChaseStrategy::Naive, 1);
-        for (strategy, threads) in [
-            (ChaseStrategy::SemiNaive, 1),
-            (ChaseStrategy::SemiNaive, 3),
-            (ChaseStrategy::Naive, 2),
-        ] {
-            let r = run(&picks, &facts, ChaseMode::Oblivious, strategy, threads);
-            prop_assert_eq!(&r.instance, &base.instance);
-            prop_assert_eq!(r.fired, base.fired);
-            prop_assert_eq!(r.rounds, base.rounds);
-        }
-    }
-
-    /// Standard mode: same exact-equality property against the
-    /// sequential naive baseline.
-    #[test]
-    fn standard_strategies_are_equal(picks in dep_picks(), facts in abstract_facts(6)) {
-        let base = run(&picks, &facts, ChaseMode::Standard, ChaseStrategy::Naive, 1);
-        for (strategy, threads) in [
-            (ChaseStrategy::SemiNaive, 1),
-            (ChaseStrategy::SemiNaive, 3),
-            (ChaseStrategy::Naive, 2),
-        ] {
-            let r = run(&picks, &facts, ChaseMode::Standard, strategy, threads);
-            prop_assert_eq!(&r.instance, &base.instance);
-            prop_assert_eq!(r.fired, base.fired);
-            prop_assert_eq!(r.rounds, base.rounds);
+    fn variants_agree_with_the_naive_baseline(picks in dep_picks(), facts in abstract_facts(6)) {
+        let base = run(&picks, &facts, ChaseVariant::Naive);
+        for variant in ChaseVariant::ALL {
+            let r = run(&picks, &facts, variant);
+            let again = run(&picks, &facts, variant);
+            prop_assert_eq!(&r.instance, &again.instance, "{}", variant);
+            prop_assert_eq!(r.fired, again.fired, "{}", variant);
+            if variant == ChaseVariant::Restricted {
+                prop_assert!(rde_hom::hom_equivalent(&r.instance, &base.instance));
+                prop_assert!(r.fired <= base.fired);
+            } else {
+                prop_assert_eq!(&r.instance, &base.instance, "{}", variant);
+                prop_assert_eq!(r.fired, base.fired, "{}", variant);
+                prop_assert_eq!(r.rounds, base.rounds, "{}", variant);
+            }
         }
     }
 
@@ -117,8 +101,8 @@ proptest! {
     /// must be: both strategies fire the same triggers per round.
     #[test]
     fn round_firing_schedules_agree(picks in dep_picks(), facts in abstract_facts(5)) {
-        let naive = run(&picks, &facts, ChaseMode::Oblivious, ChaseStrategy::Naive, 1);
-        let semi = run(&picks, &facts, ChaseMode::Oblivious, ChaseStrategy::SemiNaive, 1);
+        let naive = run(&picks, &facts, ChaseVariant::Naive);
+        let semi = run(&picks, &facts, ChaseVariant::SemiNaive);
         prop_assert_eq!(naive.round_stats.len(), semi.round_stats.len());
         for (a, b) in naive.round_stats.iter().zip(&semi.round_stats) {
             prop_assert_eq!(a.triggers, b.triggers);

@@ -173,12 +173,6 @@ pub struct ExecContext {
     /// Observability scope label: attached as a `scope` field to the
     /// journal spans the engines open for this context's work.
     pub scope: Option<std::sync::Arc<str>>,
-    /// Request id for journal attribution (`0` = none). A server
-    /// stamps the id it assigned the request here so engines that fan
-    /// work out over worker threads can re-install it as the ambient
-    /// request id on each worker (`rde_obs::request::enter`); records
-    /// those workers emit then carry the right `req` field.
-    pub request_id: u64,
 }
 
 impl ExecContext {
@@ -210,13 +204,6 @@ impl ExecContext {
     #[must_use]
     pub fn with_scope(mut self, scope: impl Into<std::sync::Arc<str>>) -> Self {
         self.scope = Some(scope.into());
-        self
-    }
-
-    /// Set the request id for journal attribution.
-    #[must_use]
-    pub fn with_request_id(mut self, request_id: u64) -> Self {
-        self.request_id = request_id;
         self
     }
 

@@ -1,8 +1,7 @@
 //! The seed-sweep resilience suite.
 //!
 //! Injection families — spurious search exhaustion + round
-//! cancellation in the standard chase (both trigger-enumeration
-//! strategies), poisoned locks in the arrow cache, I/O errors in the
+//! cancellation in the standard chase (every chase variant), poisoned locks in the arrow cache, I/O errors in the
 //! journal sink, branch cancellation in the disjunctive chase,
 //! aborted quasi-inverse construction, stranded checkpoint writes,
 //! spurious satisfaction-check exhaustion in the restricted chase,
@@ -24,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::RwLock;
 
 use rde_chase::{
-    disjunctive_chase, ChaseError, ChaseOptions, ChaseStrategy, DisjunctiveChaseOptions,
+    disjunctive_chase, ChaseError, ChaseOptions, ChaseVariant, DisjunctiveChaseOptions,
 };
 use rde_core::arrow::ArrowMCache;
 use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
@@ -77,64 +76,58 @@ fn chain(vocab: &mut Vocabulary, n: usize) -> Instance {
 }
 
 /// Family 1: the standard chase under spurious hom-search exhaustion
-/// (`hom.search.exhaust`) and round cancellation (`chase.round`),
-/// serial and parallel, under both trigger-enumeration strategies.
-/// Every outcome must be an `Ok` or one of the two typed errors those
-/// points map to — never a panic, never a mystery variant.
+/// (`hom.search.exhaust`) and round cancellation (`chase.round`), under
+/// every chase variant. Every outcome must be an `Ok` or one of the two
+/// typed errors those points map to — never a panic, never a mystery
+/// variant.
 #[test]
 fn chase_survives_injected_exhaustion_and_cancellation() {
     let _g = shared();
     let mut outcomes = [0u64; 3]; // ok, cancelled, exhausted
     let mut injector_evaluated = 0u64;
     for seed in 0..SEEDS {
-        for strategy in [ChaseStrategy::SemiNaive, ChaseStrategy::Naive] {
-            for threads in [1usize, 4] {
-                let mut vocab = Vocabulary::new();
-                let deps = recursive_deps(&mut vocab);
-                let input = chain(&mut vocab, 4);
-                // Sweep the fire rate from 1/1 (every hit) down to
-                // 1/1024 (mostly clean): a multi-round chase evaluates
-                // dozens of points, so a fixed rate would hit an error
-                // on every run and never cover the clean-recovery path.
-                let ctx = ExecContext::default().with_injector(FaultInjector::new(
-                    FaultConfig::ratio(seed, 1, 1 << (seed % 11), None),
-                ));
-                let options =
-                    ChaseOptions { threads, strategy, ctx: ctx.clone(), ..ChaseOptions::default() };
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    rde_chase::chase(&input, &deps, &mut vocab, &options)
-                }));
-                let report = ctx.fault_report();
-                let result = result.unwrap_or_else(|_| {
-                    panic!(
-                        "seed {seed}, strategy {strategy:?}, threads {threads}: \
-                         chase panicked under injection"
-                    )
-                });
-                match result {
-                    Ok(r) => {
-                        assert!(!r.instance.is_empty());
-                        outcomes[0] += 1;
-                    }
-                    Err(ChaseError::Cancelled) => outcomes[1] += 1,
-                    Err(ChaseError::MatchBudgetExhausted { .. }) => outcomes[2] += 1,
-                    Err(other) => panic!(
-                        "seed {seed}, strategy {strategy:?}, threads {threads}: \
-                         unexpected error {other}"
-                    ),
+        for variant in ChaseVariant::ALL {
+            let mut vocab = Vocabulary::new();
+            let deps = recursive_deps(&mut vocab);
+            let input = chain(&mut vocab, 4);
+            // Sweep the fire rate from 1/1 (every hit) down to 1/1024
+            // (mostly clean): a multi-round chase evaluates dozens of
+            // points, so a fixed rate would hit an error on every run
+            // and never cover the clean-recovery path.
+            let ctx = ExecContext::default().with_injector(FaultInjector::new(FaultConfig::ratio(
+                seed,
+                1,
+                1 << (seed % 11),
+                None,
+            )));
+            let options = ChaseOptions { variant, ctx: ctx.clone(), ..ChaseOptions::default() };
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rde_chase::chase(&input, &deps, &mut vocab, &options)
+            }));
+            let report = ctx.fault_report();
+            let result = result.unwrap_or_else(|_| {
+                panic!("seed {seed}, variant {variant}: chase panicked under injection")
+            });
+            match result {
+                Ok(r) => {
+                    assert!(!r.instance.is_empty());
+                    outcomes[0] += 1;
                 }
-                // Per-context accounting: the campaign saw this run's
-                // decisions and nothing else.
-                let round_hits = report.point("chase.round").map_or(0, |c| c.hits);
-                assert!(round_hits >= 1, "every run consults chase.round at least once");
-                for (name, count) in &report.points {
-                    assert!(count.fired <= count.hits, "{name}: fired > hits");
-                }
-                injector_evaluated += report.total_hits();
+                Err(ChaseError::Cancelled) => outcomes[1] += 1,
+                Err(ChaseError::MatchBudgetExhausted { .. }) => outcomes[2] += 1,
+                Err(other) => panic!("seed {seed}, variant {variant}: unexpected error {other}"),
             }
+            // Per-context accounting: the campaign saw this run's
+            // decisions and nothing else.
+            let round_hits = report.point("chase.round").map_or(0, |c| c.hits);
+            assert!(round_hits >= 1, "every run consults chase.round at least once");
+            for (name, count) in &report.points {
+                assert!(count.fired <= count.hits, "{name}: fired > hits");
+            }
+            injector_evaluated += report.total_hits();
         }
     }
-    // Ratio sweep over 96 runs: both error families and at least one
+    // Ratio sweep over 72 runs: both error families and at least one
     // clean run must all occur, or the sweep isn't exercising anything.
     assert!(outcomes.iter().all(|&n| n > 0), "sweep too one-sided: {outcomes:?}");
     assert!(injector_evaluated > 0, "campaigns must actually be consulted");

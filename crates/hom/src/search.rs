@@ -237,8 +237,6 @@ impl CompiledPattern {
             stats: HomStats::default(),
             trail: Vec::new(),
             prunes: 0,
-            buckets_scanned: 0,
-            buckets_skipped: 0,
             exhausted: None,
             on_found,
         };
@@ -265,8 +263,6 @@ impl CompiledPattern {
         rde_obs::counter!("hom.search.backtracks").add(searcher.stats.backtracks);
         rde_obs::counter!("hom.search.found").add(searcher.stats.found);
         rde_obs::counter!("hom.search.prunes").add(searcher.prunes);
-        rde_obs::counter!("chase.bucket.scanned").add(searcher.buckets_scanned);
-        rde_obs::counter!("chase.bucket.skipped").add(searcher.buckets_skipped);
         if searcher.exhausted.is_some() {
             rde_obs::counter!("hom.search.exhausted").inc();
         }
@@ -296,11 +292,6 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     /// it. Flushed to the `hom.search.prunes` metric (deliberately not
     /// part of [`HomStats`], whose layout is pinned by boundary tests).
     prunes: u64,
-    /// Null-pattern buckets touched / pruned while generating candidate
-    /// rows (columnar backend only; both stay 0 on the row store).
-    /// Flushed to `chase.bucket.scanned` / `chase.bucket.skipped`.
-    buckets_scanned: u64,
-    buckets_skipped: u64,
     /// Set when a budget cut the search short.
     exhausted: Option<Exhausted>,
     /// Callback; returns `false` to stop enumerating.
@@ -431,36 +422,12 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
         }
     }
 
-    /// The null/constant requirements the atom imposes on candidate
-    /// rows under the current assignment: bit `c` of the first mask
-    /// demands a *constant* in column `c`, bit `c` of the second a
-    /// *null*. Columns whose pattern argument is still an unbound
-    /// variable constrain nothing, and columns ≥ 64 carry no bits —
-    /// mirroring the per-row null masks of the columnar store.
-    fn pattern_masks(&self, args: &[PatArg]) -> (u64, u64) {
-        let mut const_mask = 0u64;
-        let mut null_mask = 0u64;
-        for (col, arg) in args.iter().enumerate().take(64) {
-            if let Some(v) = self.arg_value(*arg) {
-                if v.is_const() {
-                    const_mask |= 1 << col;
-                } else {
-                    null_mask |= 1 << col;
-                }
-            }
-        }
-        (const_mask, null_mask)
-    }
-
     /// Candidate target rows for a fact under the current assignment:
-    /// the cheapest bound column's posting list, further pruned by the
-    /// null-pattern buckets when the relation is columnar. Every path
-    /// yields rows in ascending order, so match emission order — and
-    /// therefore everything downstream: trigger order, fresh-null
-    /// numbering, checkpoint bytes — is identical across backends; the
-    /// pruning only drops rows whose null pattern contradicts the
-    /// atom's, which would have failed unification anyway.
-    fn candidate_rows(&mut self, fact_idx: usize) -> Rows {
+    /// the cheapest bound column's posting list, in ascending row order,
+    /// so match emission order — and therefore everything downstream:
+    /// trigger order, fresh-null numbering, checkpoint bytes — is
+    /// deterministic.
+    fn candidate_rows(&self, fact_idx: usize) -> Rows {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
         if self.config.use_index {
@@ -474,37 +441,10 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
                 }
             }
             if let Some(rows) = best {
-                if let Some(masks) = data.null_masks() {
-                    let (const_mask, null_mask) = self.pattern_masks(args);
-                    if let Some((scanned, skipped)) = data.bucket_stats(const_mask, null_mask) {
-                        self.buckets_scanned += scanned;
-                        self.buckets_skipped += skipped;
-                    }
-                    if const_mask != 0 || null_mask != 0 {
-                        let filtered: Vec<u32> = rows
-                            .iter()
-                            .copied()
-                            .filter(|&r| {
-                                let m = masks[r as usize];
-                                m & const_mask == 0 && m & null_mask == null_mask
-                            })
-                            .collect();
-                        return Rows::Some(filtered);
-                    }
-                }
                 return Rows::Some(rows.to_vec());
             }
         }
-        // No bound column (or indexes disabled): scan the relation. With
-        // nothing bound the pattern masks are empty by construction, so
-        // bucket pruning cannot help; the bucket counters still see the
-        // scan so `chase.bucket.scanned` reflects all candidate work.
-        if self.config.use_index {
-            if let Some((scanned, skipped)) = data.bucket_stats(0, 0) {
-                self.buckets_scanned += scanned;
-                self.buckets_skipped += skipped;
-            }
-        }
+        // No bound column (or indexes disabled): scan the relation.
         Rows::All(data.len())
     }
 
@@ -527,15 +467,10 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
 
     /// Try to map fact `fact_idx` onto target row `row`, binding
     /// variables as needed; new bindings are pushed on the shared trail.
-    /// The row store hands out the tuple as one slice; the columnar
-    /// store is probed cell-by-cell (no contiguous row exists there).
     fn unify(&mut self, fact_idx: usize, row: u32) -> bool {
         let f = &self.facts[fact_idx];
-        let (data, args) = (f.rel_data, f.args);
-        match data.row_slice(row) {
-            Some(tuple) => args.iter().zip(tuple).all(|(&arg, &tv)| self.bind(arg, tv)),
-            None => (0..args.len()).all(|col| self.bind(args[col], data.value_at(row, col))),
-        }
+        let (tuple, args) = (f.rel_data.tuple(row), f.args);
+        args.iter().zip(tuple).all(|(&arg, &tv)| self.bind(arg, tv))
     }
 }
 

@@ -1,9 +1,7 @@
 //! Property-based tests for the data model.
 
 use proptest::prelude::*;
-use rde_model::{
-    display, parse::parse_instance, BackendKind, Fact, Instance, Substitution, Value, Vocabulary,
-};
+use rde_model::{display, parse::parse_instance, Fact, Instance, Substitution, Value, Vocabulary};
 
 /// Strategy: abstract facts over 3 relations (arities 1, 2, 3), with
 /// arguments drawn from 4 constants and 4 named nulls.
@@ -162,56 +160,21 @@ proptest! {
         prop_assert!(dom.len() <= total.max(1));
     }
 
-    /// Column indexes return exactly the rows holding the value — on
-    /// both storage backends.
+    /// Column indexes return exactly the rows holding the value.
     #[test]
     fn posting_lists_are_exact(facts in abstract_facts()) {
         let mut vocab = Vocabulary::new();
-        let row = materialize(&mut vocab, &facts);
-        for i in [row.clone(), row.to_backend(BackendKind::Columnar)] {
-            for (_, data) in i.relations() {
-                let tuples: Vec<Vec<Value>> = data.tuples().map(|t| t.to_vec()).collect();
-                for col in 0..data.arity() {
-                    for &v in tuples.iter().flat_map(|t| t.iter()) {
-                        let rows = data.rows_with(col, &v);
-                        for &r in rows {
-                            prop_assert_eq!(data.value_at(r, col), v);
-                        }
-                        let expected = tuples.iter().filter(|t| t[col] == v).count();
-                        prop_assert_eq!(rows.len(), expected);
+        let i = materialize(&mut vocab, &facts);
+        for (_, data) in i.relations() {
+            let tuples: Vec<Vec<Value>> = data.tuples().map(|t| t.to_vec()).collect();
+            for col in 0..data.arity() {
+                for &v in tuples.iter().flat_map(|t| t.iter()) {
+                    let rows = data.rows_with(col, &v);
+                    for &r in rows {
+                        prop_assert_eq!(data.value_at(r, col), v);
                     }
-                }
-            }
-        }
-    }
-
-    /// The columnar backend is observationally identical to the row
-    /// store: same facts in the same order, same row ids behind every
-    /// posting list, same null-pattern semantics.
-    #[test]
-    fn backends_are_observationally_equal(facts in abstract_facts()) {
-        let mut vocab = Vocabulary::new();
-        let row = materialize(&mut vocab, &facts);
-        let col = row.to_backend(BackendKind::Columnar);
-        prop_assert_eq!(&row, &col);
-        prop_assert_eq!(row.len(), col.len());
-        prop_assert_eq!(row.null_offset(), col.null_offset());
-        let rf: Vec<Fact> = row.facts().collect();
-        let cf: Vec<Fact> = col.facts().collect();
-        prop_assert_eq!(rf, cf);
-        for (rel, rd) in row.relations() {
-            let cd = col.relation(rel).unwrap();
-            let masks = cd.null_masks().unwrap();
-            prop_assert_eq!(rd.len(), masks.len());
-            for (r, t) in rd.tuples().enumerate() {
-                for (c, &v) in t.iter().enumerate() {
-                    prop_assert_eq!(cd.value_at(r as u32, c), v);
-                    let bit = c < 64 && (masks[r] >> c) & 1 == 1;
-                    prop_assert_eq!(bit, v.is_null() && c < 64);
-                    prop_assert_eq!(
-                        rd.rows_with(c, &v), cd.rows_with(c, &v),
-                        "posting lists must agree row-for-row"
-                    );
+                    let expected = tuples.iter().filter(|t| t[col] == v).count();
+                    prop_assert_eq!(rows.len(), expected);
                 }
             }
         }

@@ -5,10 +5,9 @@
 //! while the guard lives — span opens and closes, free-standing events
 //! — is stamped with a `req` field, so one request's span tree can be
 //! extracted from a journal interleaved across many concurrent
-//! requests. Engines that fan work out over worker threads re-enter
-//! the id inside each worker (the id rides on
-//! `rde_faults::ExecContext::request_id`), so worker-attributed events
-//! carry it too.
+//! requests. Engines that fan work out over worker threads read the
+//! caller's id with [`current`] and re-enter it inside each worker, so
+//! worker-attributed events carry it too.
 //!
 //! Like spans, the whole mechanism compiles out behind the `trace`
 //! feature: with the feature off [`enter`] returns an inert guard,

@@ -51,7 +51,11 @@ pub fn reverse_certain_answers(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
-    let u = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    // The forward chase runs under the caller's context too, so a
+    // cancel, deadline or injected fault cuts it, not just the
+    // disjunctive phase.
+    let forward = ChaseOptions { ctx: options.ctx.clone(), ..ChaseOptions::default() };
+    let u = chase_mapping(source, mapping, vocab, &forward)?;
     reverse_certain_answers_from_target(q, &u, mapping, recovery, vocab, options)
 }
 
@@ -109,6 +113,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got, expected);
+    }
+
+    /// The caller's context reaches the forward chase: a cancelled
+    /// token stops a divergent `chase_M(I)` at its first round instead
+    /// of letting it run into the round budget.
+    #[test]
+    fn forward_chase_honours_the_callers_context() {
+        let mut v = Vocabulary::new();
+        let mut m = parse_mapping(&mut v, "source: E/2\ntarget: F/2\nE(x, y) -> F(x, y)").unwrap();
+        // A target tgd that never quiesces: only the round budget or the
+        // context can stop the forward chase.
+        m.dependencies
+            .push(rde_deps::parse_dependency(&mut v, "F(x, y) -> exists z . F(y, z)").unwrap());
+        let minv = parse_mapping(&mut v, "source: F/2\ntarget: E/2\nF(x, y) -> E(x, y)").unwrap();
+        let i = parse_instance(&mut v, "E(a, b)").unwrap();
+        let q = ConjunctiveQuery::parse(&mut v, "q(x) :- E(x, y)").unwrap();
+        let ctx = rde_faults::ExecContext::cancellable();
+        ctx.cancel.cancel();
+        let options = DisjunctiveChaseOptions { ctx, ..DisjunctiveChaseOptions::default() };
+        let err = reverse_certain_answers(&q, &i, &m, &minv, &mut v, &options).unwrap_err();
+        assert_eq!(err, ChaseError::Cancelled);
     }
 
     /// The union mapping: certain answers through the disjunctive

@@ -55,14 +55,12 @@
 //!
 //! Every request gets a monotonic id (starting at 1; 0 means "no
 //! request") installed as the thread's ambient request id, so every
-//! span and journal event the request produces — including on engine
-//! worker threads, which re-install the id from the `ExecContext` —
-//! carries a `req` field. Admission control keeps per-`{op, mapping}`
+//! span and journal event the request produces carries a `req` field. Admission control keeps per-`{op, mapping}`
 //! labeled request counters, latency and queue-wait histograms,
 //! per-mapping inflight gauges, per-tenant request and
 //! `{tenant, reason}` shed counters, and per-outcome counters;
 //! `METRICS` exposes the lot in Prometheus text format. Each request
-//! also leaves one `serve.access` journal event (op, mapping, backend,
+//! also leaves one `serve.access` journal event (op, mapping, tenant,
 //! outcome, elapsed µs, arrow-cache hit/miss) — point a rotating
 //! journal sink at a file and that is the access log. With
 //! [`ServeOptions::trace_slow_ms`] set, the request thread's span tree
@@ -92,8 +90,8 @@ use rde_core::invertibility::{check_homomorphism_property_cached, BoundedVerdict
 use rde_core::CoreError;
 use rde_faults::{CancelToken, ExecContext, FaultInjector};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_model::display;
 use rde_model::parse::parse_instance;
-use rde_model::{display, BackendKind};
 use rde_obs::metrics::HistogramSnapshot;
 use rde_obs::{counter, gauge, histogram};
 use rde_query::ConjunctiveQuery;
@@ -159,8 +157,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// Catalog directory of `NAME.map` (+ optional `NAME.rev`) files.
     pub catalog: PathBuf,
-    /// Instance storage layout for request instances.
-    pub backend: BackendKind,
     /// Bounded-universe dimensions for each mapping's warm family.
     pub dims: UniverseDims,
     /// Size caps for each mapping's arrow cache.
@@ -204,7 +200,6 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             catalog: PathBuf::from("."),
-            backend: BackendKind::default(),
             dims: UniverseDims::default(),
             // Defaults sized for a long-lived process: large enough
             // that a working set never thrashes, small enough that a
@@ -630,7 +625,7 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
             excess.saturating_mul(5).max(5),
         )
     } else {
-        handle_request(state, request, id, &mut access)
+        handle_request(state, request, &mut access)
     };
     let now = state.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
     gauge!("serve.inflight").set(now as u64);
@@ -679,7 +674,6 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
         ("op", op.into()),
         ("mapping", mapping.into()),
         ("tenant", tenant.into()),
-        ("backend", rde_obs::Field::Str(backend_name(state.options.backend))),
         ("outcome", outcome.into()),
         ("us", us.into()),
     ];
@@ -690,20 +684,10 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
     reply
 }
 
-/// Static name for the backend label (access log + metrics want
-/// `&'static str`, `Display` allocates).
-fn backend_name(backend: BackendKind) -> &'static str {
-    match backend {
-        BackendKind::Row => "row",
-        BackendKind::Columnar => "columnar",
-    }
-}
-
 /// Per-request execution context: fresh cancel token (armed with the
 /// `deadline-ms` header, watching the process interrupt flag) — never
-/// shared with any other request. The request id rides on the context
-/// so engines re-install it on their worker threads.
-fn request_config(request: &Request, id: u64) -> Result<HomConfig, String> {
+/// shared with any other request.
+fn request_config(request: &Request) -> Result<HomConfig, String> {
     let token = match request.u64_header("deadline-ms")? {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::new(),
@@ -711,17 +695,12 @@ fn request_config(request: &Request, id: u64) -> Result<HomConfig, String> {
     Ok(HomConfig {
         node_budget: request.u64_header("node-budget")?,
         time_budget: request.u64_header("time-budget-ms")?.map(Duration::from_millis),
-        ctx: ExecContext::default().with_cancel(token.watching_interrupt()).with_request_id(id),
+        ctx: ExecContext::default().with_cancel(token.watching_interrupt()),
         ..HomConfig::default()
     })
 }
 
-fn handle_request(
-    state: &ServerState,
-    request: &Request,
-    id: u64,
-    access: &mut AccessInfo,
-) -> Reply {
+fn handle_request(state: &ServerState, request: &Request, access: &mut AccessInfo) -> Reply {
     let _span = rde_obs::span(
         "serve.request",
         &[
@@ -729,7 +708,7 @@ fn handle_request(
             ("mapping", request.mapping.as_deref().unwrap_or("-").into()),
         ],
     );
-    let config = match request_config(request, id) {
+    let config = match request_config(request) {
         Ok(config) => config,
         Err(e) => return Reply::Err(e),
     };
@@ -743,10 +722,10 @@ fn handle_request(
         "STATS" => op_stats(state, &cat),
         "METRICS" => op_metrics(state, &cat),
         "RELOAD" => reload_now(state),
-        "CHASE" => with_mapping(catalog, request, |e| op_chase(state, e, request, &config)),
+        "CHASE" => with_mapping(catalog, request, |e| op_chase(e, request, &config)),
         "INVERTIBLE" => with_mapping(catalog, request, |e| op_invertible(e, &config)),
-        "ARROW" => with_mapping(catalog, request, |e| op_arrow(state, e, request, &config, access)),
-        "CERTAIN" => with_mapping(catalog, request, |e| op_certain(state, e, request, &config)),
+        "ARROW" => with_mapping(catalog, request, |e| op_arrow(e, request, &config, access)),
+        "CERTAIN" => with_mapping(catalog, request, |e| op_certain(e, request, &config)),
         other => Reply::Err(format!("unknown op `{other}`")),
     }
 }
@@ -931,22 +910,17 @@ fn core_reply(e: CoreError) -> Reply {
 /// target-restricted result. A fresh clone of the entry's post-parse
 /// vocabulary replays exactly what a cold `rde chase` run does, so the
 /// reply is bit-identical to the CLI's stdout.
-fn op_chase(
-    state: &ServerState,
-    entry: &MappingEntry,
-    request: &Request,
-    config: &HomConfig,
-) -> Reply {
+fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let mut vocab = entry.base_vocab.clone();
     let instance = match parse_instance(&mut vocab, &request.body_blob()) {
-        Ok(i) => i.into_backend(state.options.backend),
+        Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
     let mut options =
         ChaseOptions { hom: config.clone(), ctx: config.ctx.clone(), ..ChaseOptions::default() };
     if let Some(text) = request.get_header("variant") {
         match text.parse::<rde_chase::ChaseVariant>() {
-            Ok(variant) => options = options.with_variant(variant),
+            Ok(variant) => options.variant = variant,
             Err(e) => return Reply::Err(format!("variant: {e}")),
         }
     }
@@ -991,7 +965,6 @@ fn op_invertible(entry: &MappingEntry, config: &HomConfig) -> Reply {
 /// resolve identically, and the eviction policy keeps a hostile
 /// request stream from growing the cache without bound.
 fn op_arrow(
-    state: &ServerState,
     entry: &MappingEntry,
     request: &Request,
     config: &HomConfig,
@@ -1011,7 +984,7 @@ fn op_arrow(
         let mut vocab = lock(&warm.vocab);
         for text in &texts {
             let instance = match parse_instance(&mut vocab, text) {
-                Ok(i) => i.into_backend(state.options.backend),
+                Ok(i) => i,
                 Err(e) => return Reply::Err(format!("instance: {e}")),
             };
             match warm.cache.intern(&entry.mapping, &instance, &mut vocab, config) {
@@ -1035,12 +1008,7 @@ fn op_arrow(
 /// `CERTAIN m` — reverse certain answers (Thm 6.5) of the `query=`
 /// header over the body instance, using the catalog's `NAME.rev`
 /// reverse mapping.
-fn op_certain(
-    state: &ServerState,
-    entry: &MappingEntry,
-    request: &Request,
-    config: &HomConfig,
-) -> Reply {
+fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let Some(reverse) = &entry.reverse else {
         return Reply::Err(format!("mapping `{}` has no reverse (.rev) mapping", entry.name));
     };
@@ -1049,7 +1017,7 @@ fn op_certain(
     };
     let mut vocab = entry.base_vocab.clone();
     let instance = match parse_instance(&mut vocab, &request.body_blob()) {
-        Ok(i) => i.into_backend(state.options.backend),
+        Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
     let q = match ConjunctiveQuery::parse(&mut vocab, query_text) {

@@ -1,7 +1,7 @@
 //! Concurrent request attribution: with eight clients hammering eight
 //! distinct mappings at once, every span and event in the interleaved
 //! journal must carry exactly its own request's id — the engine spans
-//! produced on worker threads included — and each request's span tree
+//! included — and each request's span tree
 //! must reconstruct cleanly from the `req` field alone.
 #![cfg(feature = "trace")]
 
