@@ -8,6 +8,7 @@ use rde_core::compose::{in_composition, ComposeOptions};
 use rde_core::unfold::{compose_mappings, UnfoldOptions};
 use rde_core::Universe;
 use rde_deps::parse_mapping;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::Vocabulary;
 
 /// A k-relation evolution: split step then recombine step.
@@ -57,10 +58,11 @@ fn bench_unfold(c: &mut Criterion) {
     let targets = universe.ground_instances(&vocab, &m23.target).unwrap().collect::<Vec<_>>();
     group.bench_function("membership_syntactic_sweep", |b| {
         b.iter(|| {
+            let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
             let mut hits = 0usize;
             for i in &sources {
                 for kk in &targets {
-                    if rde_core::semantics::satisfies(i, kk, &composed) {
+                    if rde_core::semantics::satisfies(i, kk, &composed, &unbounded, stats).holds() {
                         hits += 1;
                     }
                 }

@@ -13,7 +13,7 @@ use rde_bench::workloads;
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_core::arrow::ArrowMCache;
 use rde_core::Universe;
-use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent};
+use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent, HomConfig, HomStats};
 use rde_model::parse::parse_instance;
 use rde_model::{Instance, Vocabulary};
 
@@ -43,6 +43,7 @@ fn bloated(vocab: &mut Vocabulary, k: usize, pad: usize) -> Instance {
 }
 
 fn core_rows(quick: bool, rows: &mut Vec<String>) {
+    let unbounded = HomConfig::default();
     let sizes: &[(usize, usize)] =
         if quick { &[(4, 12)] } else { &[(4, 32), (8, 64), (8, 128), (8, 256)] };
     println!(
@@ -56,7 +57,8 @@ fn core_rows(quick: bool, rows: &mut Vec<String>) {
         let (t_quad, r_quad) = time(reps, || core_of_quadratic(&inst));
         let (t_inc, r_inc) = time(reps, || core_of(&inst));
         assert_eq!(r_quad.core.len(), r_inc.core.len(), "minimizers must agree on core size");
-        assert!(hom_equivalent(&inst, &r_inc.core), "core must stay hom-equivalent");
+        let equivalent = hom_equivalent(&inst, &r_inc.core, &unbounded, &mut HomStats::default());
+        assert!(equivalent.holds(), "core must stay hom-equivalent");
         let speedup = t_quad / t_inc;
         println!(
             "{:>7} {:>5} {:>14.3} {:>14.3} {:>8.2}x",
@@ -81,6 +83,7 @@ fn core_rows(quick: bool, rows: &mut Vec<String>) {
 }
 
 fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
+    let unbounded = HomConfig::default();
     let universes: &[(usize, usize, usize)] =
         if quick { &[(2, 1, 1)] } else { &[(2, 1, 1), (2, 1, 2)] };
     println!(
@@ -108,7 +111,7 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
             for _ in 0..sweeps {
                 for a in &chased {
                     for b in &chased {
-                        if exists_hom(a, b) {
+                        if exists_hom(a, b, &unbounded, &mut HomStats::default()).holds() {
                             hits += 1;
                         }
                     }
@@ -121,12 +124,12 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
         // pure memo hits.
         let (t_cached, (hits_cached, classes)) = time(1, || {
             let mut vc = v.clone();
-            let cache = ArrowMCache::new(&w.mapping, &family, &mut vc).unwrap();
+            let cache = ArrowMCache::new(&w.mapping, &family, &mut vc, &unbounded).unwrap();
             let mut hits = 0u64;
             for _ in 0..sweeps {
                 for a in 0..family.len() {
                     for b in 0..family.len() {
-                        if cache.arrow(a, b) {
+                        if cache.arrow(a, b, &unbounded).holds() {
                             hits += 1;
                         }
                     }

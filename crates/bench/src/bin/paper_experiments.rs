@@ -9,16 +9,47 @@
 //! Usage: `cargo run -p rde-bench --bin paper_experiments [e1 e2 …]`
 
 use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
+use rde_core::compare::compare_lossiness;
 use rde_core::compose::ComposeOptions;
-use rde_core::invertibility::BoundedVerdict;
+use rde_core::extended::{is_extended_solution, is_extended_universal_solution};
+use rde_core::invertibility::{check_homomorphism_property, BoundedVerdict};
 use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
-use rde_core::recovery::MaxRecoveryVerdict;
+use rde_core::recovery::{check_maximum_extended_recovery, MaxRecoveryVerdict};
+use rde_core::semantics::satisfies;
 use rde_core::Universe;
 use rde_deps::{parse_mapping, Conjunct, Dependency, SchemaMapping};
-use rde_hom::hom_equivalent;
+use rde_hom::{hom_equivalent, HomConfig, HomStats};
 use rde_model::parse::parse_instance;
 use rde_model::{display, Instance, Vocabulary};
 use rde_query::{evaluate_null_free, reverse_certain_answers, ConjunctiveQuery};
+
+// Unbounded forms of the checkers: every experiment asserts an exact
+// verdict.
+
+fn sat(i: &Instance, j: &Instance, m: &SchemaMapping) -> bool {
+    satisfies(i, j, m, &HomConfig::default(), &mut HomStats::default()).holds()
+}
+
+fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    is_extended_solution(i, j, m, v, &unbounded, &mut stats).unwrap().holds()
+}
+
+fn hom_property(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    check_homomorphism_property(m, u, v, &unbounded, &mut stats).unwrap()
+}
+
+fn max_recovery(
+    m: &SchemaMapping,
+    rec: &SchemaMapping,
+    u: &Universe,
+    v: &mut Vocabulary,
+    opts: &ComposeOptions,
+) -> MaxRecoveryVerdict {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut stats).unwrap()
+}
 
 struct Outcome {
     id: &'static str,
@@ -104,7 +135,8 @@ fn e1() -> Outcome {
     let expected_u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
     let vi = chase_mapping(&u, &rev, &mut v, &ChaseOptions::default()).unwrap();
     let paper_v = parse_instance(&mut v, "P(a,b,?zz)\nP(?xx,b,c)").unwrap();
-    let pass = u == expected_u && !vi.is_ground() && hom_equivalent(&vi, &paper_v);
+    let equivalent = hom_equivalent(&vi, &paper_v, &HomConfig::default(), &mut HomStats::default());
+    let pass = u == expected_u && !vi.is_ground() && equivalent.holds();
     Outcome {
         id: "E1",
         claim: "Ex 1.1: V = {P(a,b,Z), P(X,b,c)} non-ground",
@@ -119,16 +151,14 @@ fn e2() -> Outcome {
     let m = decomposition(&mut v);
     let vi = parse_instance(&mut v, "P(a,b,?z)\nP(?x,b,c)").unwrap();
     let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-    let not_sol = !rde_core::semantics::is_solution(&vi, &u, &m);
-    let is_esol = rde_core::extended::is_extended_solution(&vi, &u, &m, &mut v).unwrap();
+    let not_sol = !sat(&vi, &u, &m);
+    let is_esol = esol(&vi, &u, &m, &mut v);
     // Prop 3.4: ground sources have eSol = Sol on a bounded target universe.
     let i = parse_instance(&mut v, "P(a,b,c)").unwrap();
     let universe = Universe::new(&mut v, 3, 1, 2);
     let mut prop34 = true;
     for j in universe.instances(&v, &m.target).unwrap() {
-        if rde_core::semantics::is_solution(&i, &j, &m)
-            != rde_core::extended::is_extended_solution(&i, &j, &m, &mut v).unwrap()
-        {
+        if sat(&i, &j, &m) != esol(&i, &j, &m, &mut v) {
             prop34 = false;
             break;
         }
@@ -150,7 +180,8 @@ fn e3() -> Outcome {
     let mut pass = true;
     for i in &family {
         let u = chase_mapping(i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        if !rde_core::extended::is_extended_universal_solution(i, &u, &m, &mut v).unwrap() {
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        if !is_extended_universal_solution(i, &u, &m, &mut v, &unbounded, stats).unwrap().holds() {
             pass = false;
             break;
         }
@@ -169,8 +200,7 @@ fn e4() -> Outcome {
     let mut v = Vocabulary::new();
     let m = union(&mut v);
     let universe = Universe::new(&mut v, 1, 0, 1);
-    let verdict =
-        rde_core::invertibility::check_homomorphism_property(&m, &universe, &mut v).unwrap();
+    let verdict = hom_property(&m, &universe, &mut v);
     match verdict {
         BoundedVerdict::Counterexample { i1, i2 } => Outcome {
             id: "E4",
@@ -209,7 +239,7 @@ fn e5() -> Outcome {
         rde_core::ground::check_inverse(&m, &minv, &universe, &mut v, &ComposeOptions::default())
             .unwrap()
             .holds();
-    let ext = rde_core::invertibility::check_extended_invertibility(&m, &universe, &mut v).unwrap();
+    let ext = hom_property(&m, &universe, &mut v);
     let needs_nulls = match &ext {
         BoundedVerdict::Counterexample { i1, i2 } => !i1.is_ground() || !i2.is_ground(),
         BoundedVerdict::HoldsWithinBound | BoundedVerdict::Unknown { .. } => false,
@@ -318,14 +348,7 @@ fn e8() -> Outcome {
     let m = decomposition(&mut v);
     let rev = decomposition_reverse(&mut v);
     let universe = Universe::new(&mut v, 2, 1, 1);
-    let verdict = rde_core::recovery::check_maximum_extended_recovery(
-        &m,
-        &rev,
-        &universe,
-        &mut v,
-        &ComposeOptions::default(),
-    )
-    .unwrap();
+    let verdict = max_recovery(&m, &rev, &universe, &mut v, &ComposeOptions::default());
     let n = universe.size(&v, &m.source).unwrap();
     Outcome {
         id: "E8",
@@ -351,9 +374,7 @@ fn e9() -> Outcome {
         let m = parse_mapping(&mut v, text).unwrap();
         let universe = Universe::new(&mut v, 2, 1, 1);
         let report = rde_core::loss::information_loss(&m, &universe, &mut v, 0).unwrap();
-        let hp = rde_core::invertibility::check_homomorphism_property(&m, &universe, &mut v)
-            .unwrap()
-            .holds();
+        let hp = hom_property(&m, &universe, &mut v).holds();
         if report.is_lossless_within_bound() != expect_lossless
             || report.is_lossless_within_bound() != hp
         {
@@ -379,10 +400,7 @@ fn e10() -> Outcome {
     let rec = maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default()).unwrap();
     let universe = Universe::new(&mut v, 2, 1, 1);
     let opts = ComposeOptions::default();
-    let good =
-        rde_core::recovery::check_maximum_extended_recovery(&m, &rec, &universe, &mut v, &opts)
-            .unwrap()
-            .holds();
+    let good = max_recovery(&m, &rec, &universe, &mut v, &opts).holds();
 
     // Necessity of inequalities: strip them and the check must fail.
     let stripped: Vec<Dependency> = rec
@@ -401,11 +419,7 @@ fn e10() -> Outcome {
         })
         .collect();
     let no_ineq = SchemaMapping::new(rec.source.clone(), rec.target.clone(), stripped);
-    let ineq_needed = !rde_core::recovery::check_maximum_extended_recovery(
-        &m, &no_ineq, &universe, &mut v, &opts,
-    )
-    .unwrap()
-    .holds();
+    let ineq_needed = !max_recovery(&m, &no_ineq, &universe, &mut v, &opts).holds();
 
     // Necessity of disjunction: keep only the first disjunct per rule.
     let truncated: Vec<Dependency> = rec
@@ -423,11 +437,7 @@ fn e10() -> Outcome {
         })
         .collect();
     let no_disj = SchemaMapping::new(rec.source.clone(), rec.target.clone(), truncated);
-    let disj_needed = !rde_core::recovery::check_maximum_extended_recovery(
-        &m, &no_disj, &universe, &mut v, &opts,
-    )
-    .unwrap()
-    .holds();
+    let disj_needed = !max_recovery(&m, &no_disj, &universe, &mut v, &opts).holds();
 
     Outcome {
         id: "E10",
@@ -556,7 +566,8 @@ fn e13() -> Outcome {
     )
     .unwrap();
     let universe = Universe::new(&mut v, 2, 1, 2);
-    let cmp = rde_core::compare::compare_lossiness(&m1, &m2, &universe, &mut v).unwrap();
+    let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+    let cmp = compare_lossiness(&m1, &m2, &universe, &mut v, &unbounded, stats).unwrap();
     let strictly = cmp == rde_core::compare::Comparison::StrictlyLessLossy;
     // Thm 6.8's procedural criterion with the shared recovery.
     let rec = parse_mapping(&mut v, "source: Pp/2\ntarget: P/2\nPp(x,y) -> P(x,y)").unwrap();
@@ -623,7 +634,7 @@ fn e14() -> Outcome {
         for k in &targets {
             let semantic =
                 rde_core::compose::in_composition(&m12, &m23, i, k, &mut v, &opts).unwrap();
-            let syntactic = rde_core::semantics::satisfies(i, k, &composed);
+            let syntactic = sat(i, k, &composed);
             if semantic != syntactic {
                 agree = false;
                 break 'outer;
@@ -633,10 +644,7 @@ fn e14() -> Outcome {
     // The composed mapping is full: synthesize + verify its recovery.
     let rec =
         maximum_extended_recovery_full(&composed, &mut v, &QuasiInverseOptions::default()).unwrap();
-    let verdict = rde_core::recovery::check_maximum_extended_recovery(
-        &composed, &rec, &universe, &mut v, &opts,
-    )
-    .unwrap();
+    let verdict = max_recovery(&composed, &rec, &universe, &mut v, &opts);
     Outcome {
         id: "E14",
         claim: "§1: composition + inverse (evolution)",

@@ -60,7 +60,7 @@ pub fn core_chase_mapping(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
-    use rde_hom::{hom_equivalent, is_core};
+    use rde_hom::{hom_equivalent, is_core, HomConfig, HomStats};
     use rde_model::parse::parse_instance;
 
     #[test]
@@ -76,7 +76,9 @@ mod tests {
         let i = parse_instance(&mut v, "P(a, b)").unwrap();
         let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(hom_equivalent(&chased, &core));
+        assert!(
+            hom_equivalent(&chased, &core, &HomConfig::default(), &mut HomStats::default()).holds()
+        );
         assert!(is_core(&core));
         assert!(core.len() <= chased.len());
     }

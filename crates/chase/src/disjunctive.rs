@@ -10,7 +10,7 @@
 //! (Theorem 6.5) are stated about.
 
 use rde_deps::Dependency;
-use rde_faults::ExecContext;
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashSet;
 use rde_model::{Instance, Value, Vocabulary};
 
@@ -34,13 +34,15 @@ pub struct DisjunctiveChaseOptions {
     /// harmless to conditions (1)–(2). Off by default because
     /// Definition 6.1 is stated on the raw leaf set.
     pub prune_subsumed: bool,
-    /// Scoped execution context. Its cancel token is polled once per
-    /// branch popped off the work list (the reverse chase branches
-    /// exponentially, so per-branch granularity bounds the overshoot);
-    /// its fault injector drives the `chase.disj.branch` injection
-    /// point. A cancelled run returns [`ChaseError::Cancelled`]. Inert
-    /// by default.
-    pub ctx: ExecContext,
+    /// Budgets and execution context for every search: premise
+    /// matching and satisfaction checks (a cut one returns
+    /// [`ChaseError::MatchBudgetExhausted`]: a truncated enumeration
+    /// could miss a trigger) and [`Self::prune_subsumed`]'s tests (a cut
+    /// one keeps the leaf). The cancel token is also polled per branch
+    /// popped off the work list, and the fault injector drives the
+    /// `chase.disj.branch` point; a cancelled run returns
+    /// [`ChaseError::Cancelled`]. Unbounded and inert by default.
+    pub hom: HomConfig,
 }
 
 impl Default for DisjunctiveChaseOptions {
@@ -50,7 +52,7 @@ impl Default for DisjunctiveChaseOptions {
             max_facts: 1_000_000,
             max_steps: 1_000_000,
             prune_subsumed: false,
-            ctx: ExecContext::default(),
+            hom: HomConfig::default(),
         }
     }
 }
@@ -114,12 +116,14 @@ pub fn disjunctive_chase(
         // Per-branch cancellation and fault injection: the branching
         // loop is the disjunctive chase's hot loop, mirroring the
         // standard chase's per-round check.
-        if options.ctx.should_inject("chase.disj.branch") || options.ctx.is_cancelled() {
-            rde_obs::counter!("chase.disj.cancelled").inc();
-            rde_obs::event("chase.disj.cancelled", &[("steps", steps.into())]);
-            return Err(ChaseError::Cancelled);
+        let ctx = &options.hom.ctx;
+        if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
+            return Err(cancelled(steps));
         }
-        match next_trigger(&branch, &plans) {
+        match next_trigger(&branch, &plans, &options.hom).map_err(|budget| match budget {
+            Exhausted::Cancelled => cancelled(steps),
+            budget => ChaseError::MatchBudgetExhausted { budget },
+        })? {
             None => leaves.push(branch.instance),
             Some((di, vals)) => {
                 steps += 1;
@@ -163,16 +167,19 @@ pub fn disjunctive_chase(
     let mut pruned = 0;
     if options.prune_subsumed {
         let mut kept: Vec<Instance> = Vec::new();
+        let mut stats = HomStats::default();
         'next: for (i, v) in unique.iter().enumerate() {
             for (j, w) in unique.iter().enumerate() {
-                if i != j && rde_hom::exists_hom(w, v) {
-                    // Keep the hom-smaller one; break ties by index to
-                    // keep exactly one of a mutually-equivalent pair.
-                    let mutually = rde_hom::exists_hom(v, w);
-                    if !mutually || j < i {
-                        pruned += 1;
-                        continue 'next;
-                    }
+                // Keep the hom-smaller one; break ties by index to keep
+                // exactly one of a mutually-equivalent pair. A test cut
+                // short by the budget keeps `v`: an extra leaf is
+                // redundant, never wrong.
+                if i != j
+                    && exists_hom(w, v, &options.hom, &mut stats).holds()
+                    && (j < i || exists_hom(v, w, &options.hom, &mut stats).fails())
+                {
+                    pruned += 1;
+                    continue 'next;
                 }
             }
             kept.push(v.clone());
@@ -183,40 +190,56 @@ pub fn disjunctive_chase(
     Ok(DisjunctiveChaseResult { leaves: unique, steps, pruned })
 }
 
-/// First unfired, unsatisfied trigger of one dependency in a branch.
-fn first_trigger(di: usize, plan: &DisjPlan, branch: &Branch) -> Option<Vec<Value>> {
-    let mut found: Option<Vec<Value>> = None;
-    plan.premise.for_each_match(&branch.instance, |vals| {
-        if branch.fired.contains(&(di, vals.to_vec())) {
-            return true;
+/// Find the first unfired, unsatisfied trigger in a branch: lowest
+/// dependency index, then premise-match order. `Err` names the budget
+/// that cut a premise enumeration or a satisfaction check short.
+fn next_trigger(
+    branch: &Branch,
+    plans: &[DisjPlan],
+    hom: &HomConfig,
+) -> Result<Option<(usize, Vec<Value>)>, Exhausted> {
+    let mut stats = HomStats::default();
+    for (di, plan) in plans.iter().enumerate() {
+        let (mut found, mut cut) = (None, None);
+        let report = plan.premise.for_each_match(&branch.instance, hom, |vals| {
+            if branch.fired.contains(&(di, vals.to_vec())) {
+                return true;
+            }
+            // Satisfaction check: skip if some disjunct already holds.
+            for s in &plan.satisfaction {
+                match s.satisfiable(&branch.instance, vals, hom, &mut stats) {
+                    Verdict::Holds => return true,
+                    Verdict::Fails => {}
+                    Verdict::Unknown { budget } => {
+                        cut = Some(budget);
+                        return false;
+                    }
+                }
+            }
+            found = Some(vals.to_vec());
+            false
+        });
+        if let Some(budget) = cut.or(report.exhausted) {
+            return Err(budget);
         }
-        // Satisfaction check: skip if some disjunct already holds.
-        if plan.satisfaction.iter().any(|s| s.satisfiable(&branch.instance, vals)) {
-            return true;
+        if let Some(vals) = found {
+            return Ok(Some((di, vals)));
         }
-        found = Some(vals.to_vec());
-        false
-    });
-    found
+    }
+    Ok(None)
 }
 
-/// Find the first unfired, unsatisfied trigger in a branch:
-/// lowest dependency index, then premise-match order.
-fn next_trigger(branch: &Branch, plans: &[DisjPlan]) -> Option<(usize, Vec<Value>)> {
-    plans.iter().enumerate().find_map(|(di, p)| first_trigger(di, p, branch).map(|vals| (di, vals)))
+fn cancelled(steps: u64) -> ChaseError {
+    rde_obs::counter!("chase.disj.cancelled").inc();
+    rde_obs::event("chase.disj.cancelled", &[("steps", steps.into())]);
+    ChaseError::Cancelled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rde_chase_test_util::*;
     use rde_deps::{parse_dependency, parse_mapping};
     use rde_model::parse::parse_instance;
-
-    /// Tiny local helpers (kept in a module so the name is explicit).
-    mod rde_chase_test_util {
-        pub use rde_hom::hom_equivalent;
-    }
 
     fn run(
         deps: &[&str],
@@ -339,6 +362,7 @@ mod tests {
         let expected_q = parse_instance(&mut v, "Q(a)").unwrap();
         assert!(leaves.contains(&expected_p));
         assert!(leaves.contains(&expected_q));
-        assert!(hom_equivalent(&leaves[0], &leaves[0]));
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        assert!(rde_hom::hom_equivalent(&leaves[0], &leaves[0], &unbounded, stats).holds());
     }
 }

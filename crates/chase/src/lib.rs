@@ -19,15 +19,11 @@
 //!
 //! * [`plan`] — compiled execution plans ([`PremisePlan`],
 //!   [`SatisfactionPlan`], [`FiringTemplate`]): each dependency's
-//!   premise/conclusion is compiled once per chase into
+//!   premise/conclusion is compiled once into
 //!   `rde_hom::CompiledPattern` slot form, and the fixpoint runs
 //!   deterministic semi-naive delta rounds — see [`ChaseVariant`].
-//!
-//! * [`matching`] — legacy premise matching (enumerating assignments of
-//!   a dependency's premise into an instance), built directly on the
-//!   homomorphism engine: matching `φ(x)` into `I` is finding a
-//!   homomorphism from the canonical (frozen) instance of `φ` into `I`.
-//!   Retained for callers that want one-off matches without a plan.
+//!   The plans are the crate's only matcher: query evaluation and the
+//!   solution checks in `rde-core` match through them too.
 //!
 //! Both chases fire triggers *obliviously or with a satisfaction check*
 //! (see [`ChaseVariant`]); resource limits are explicit and typed.
@@ -42,7 +38,6 @@ mod checkpoint;
 mod core_chase;
 mod disjunctive;
 mod error;
-pub mod matching;
 pub mod plan;
 mod standard;
 
@@ -50,8 +45,7 @@ pub use checkpoint::CheckpointPolicy;
 pub use core_chase::core_chase_mapping;
 pub use disjunctive::{disjunctive_chase, DisjunctiveChaseOptions, DisjunctiveChaseResult};
 pub use error::ChaseError;
-pub use plan::{FiringTemplate, MatchReport, PremisePlan, SatisfactionPlan};
+pub use plan::{FiringTemplate, PremisePlan, SatisfactionPlan};
 pub use standard::{
-    chase, chase_mapping, chase_mapping_default, ChaseOptions, ChaseResult, ChaseVariant,
-    FiringRecord, RoundStats,
+    chase, chase_mapping, ChaseOptions, ChaseResult, ChaseVariant, FiringRecord, RoundStats,
 };

@@ -1,42 +1,35 @@
-//! Compiled dependency plans for the chase hot path.
+//! Compiled dependency plans: the one matching engine.
 //!
-//! [`matching`](crate::matching) freezes a premise into a throwaway
-//! `Instance` on *every* enumeration call, which in turn forces a scan
-//! over the target's nulls to pick a collision-free offset. A chase
-//! evaluates the same premises against a growing instance thousands of
-//! times, so this module compiles each dependency **once** into:
+//! Every question the paper decides about a dependency — is this
+//! premise matched, is this conclusion already witnessed, which answers
+//! does this query body return — is a homomorphism from an atom
+//! conjunction into an instance. This module compiles each dependency
+//! (or query body) **once** into:
 //!
 //! * a [`PremisePlan`] — the premise atoms over dense variable slots
 //!   (a [`CompiledPattern`]) plus the guard checks, supporting both
 //!   full enumeration and delta-seeded enumeration for the semi-naive
 //!   rounds;
-//! * a conclusion satisfaction pattern (for the restricted chase's
-//!   pre-checks), sharing the premise's slot space;
+//! * a [`SatisfactionPlan`] — a conclusion disjunct over the premise's
+//!   slot space, for the restricted and disjunctive chases' pre-checks
+//!   and the solution checks;
 //! * a [`FiringTemplate`] — the conclusion atoms as value/slot
 //!   instructions, so firing a trigger is a direct copy with no hash
 //!   lookups.
 //!
-//! Slots are assigned in first-appearance order over the premise
-//! atoms, i.e. exactly `Dependency::universal_vars()` order — a full
-//! slot assignment `[Value]` therefore doubles as the canonical
-//! trigger key.
+//! Slots are pattern-local, so they can never collide with the
+//! target's nulls and no per-call freeze or offset scan exists. Slots
+//! are assigned in first-appearance order over the premise atoms, i.e.
+//! exactly `Dependency::universal_vars()` order — a full slot
+//! assignment `[Value]` therefore doubles as the canonical trigger key.
+//!
+//! Every search runs under a caller-supplied [`HomConfig`]; an
+//! unbounded enumeration passes `HomConfig::default()` on purpose.
 
 use rde_deps::{Conjunct, Premise, Term, VarId};
-use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};
+use rde_hom::{CompiledPattern, HomConfig, HomStats, PatArg, PatternAtom, SearchReport, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, RelId, Value};
-
-/// Outcome of one (possibly budgeted) premise enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchReport {
-    /// Matches enumerated (pre-guard).
-    pub matches: u64,
-    /// Homomorphism-search work this enumeration performed.
-    pub stats: HomStats,
-    /// `Some` when the configured budget cut the enumeration short —
-    /// the matches reported so far are valid but incomplete.
-    pub exhausted: Option<Exhausted>,
-}
 
 /// A compiled premise: atoms over dense slots plus guards.
 #[derive(Debug, Clone)]
@@ -89,11 +82,6 @@ impl PremisePlan {
         &self.vars
     }
 
-    /// Number of variable slots.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Number of premise atoms.
     pub fn num_atoms(&self) -> usize {
         self.pattern.atoms().len()
@@ -126,7 +114,7 @@ impl PremisePlan {
         if atom.args.len() != fact_args.len() {
             return None;
         }
-        let mut seed: Vec<Option<Value>> = vec![None; self.num_vars()];
+        let mut seed: Vec<Option<Value>> = vec![None; self.vars.len()];
         for (arg, &fv) in atom.args.iter().zip(fact_args) {
             match *arg {
                 PatArg::Fixed(v) => {
@@ -143,53 +131,32 @@ impl PremisePlan {
         Some(seed)
     }
 
-    /// Enumerate all premise matches (guards filtered) in `instance`,
-    /// unbounded. The callback gets the full slot assignment and
-    /// returns `false` to stop. Returns the number of matches
-    /// enumerated (pre-guard).
+    /// Enumerate all premise matches (guards filtered) in `instance`
+    /// under `config`'s budgets. The callback gets the full slot
+    /// assignment and returns `false` to stop. The report counts
+    /// matches before the guards as `stats.found`; check
+    /// [`SearchReport::exhausted`] for completeness.
     pub fn for_each_match(
-        &self,
-        instance: &Instance,
-        on_match: impl FnMut(&[Value]) -> bool,
-    ) -> u64 {
-        self.enumerate(None, instance, &[], &HomConfig::default(), on_match).matches
-    }
-
-    /// Like [`Self::for_each_match`] but honouring `config`'s budgets;
-    /// check [`MatchReport::exhausted`] for completeness.
-    pub fn for_each_match_budgeted(
         &self,
         instance: &Instance,
         config: &HomConfig,
         on_match: impl FnMut(&[Value]) -> bool,
-    ) -> MatchReport {
+    ) -> SearchReport {
         self.enumerate(None, instance, &[], config, on_match)
     }
 
     /// Enumerate premise matches where atom `atom_idx` is mapped onto
     /// the (already inserted) fact that produced `seed` — the
     /// semi-naive delta step. `seed` must come from
-    /// [`Self::seed_from_fact`] for that atom. Unbounded.
+    /// [`Self::seed_from_fact`] for that atom.
     pub fn for_each_match_seeded(
-        &self,
-        atom_idx: usize,
-        seed: &[Option<Value>],
-        instance: &Instance,
-        on_match: impl FnMut(&[Value]) -> bool,
-    ) -> u64 {
-        self.enumerate(Some(atom_idx), instance, seed, &HomConfig::default(), on_match).matches
-    }
-
-    /// Like [`Self::for_each_match_seeded`] but honouring `config`'s
-    /// budgets.
-    pub fn for_each_match_seeded_budgeted(
         &self,
         atom_idx: usize,
         seed: &[Option<Value>],
         instance: &Instance,
         config: &HomConfig,
         on_match: impl FnMut(&[Value]) -> bool,
-    ) -> MatchReport {
+    ) -> SearchReport {
         self.enumerate(Some(atom_idx), instance, seed, config, on_match)
     }
 
@@ -200,26 +167,20 @@ impl PremisePlan {
         seed: &[Option<Value>],
         config: &HomConfig,
         mut on_match: impl FnMut(&[Value]) -> bool,
-    ) -> MatchReport {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.num_vars());
-        let report =
-            self.pattern.for_each_match_excluding(skip, instance, seed, config, |assignment| {
-                vals.clear();
-                // Invariant: `for_each_match_excluding` only yields
-                // complete assignments — every slot is `Some`.
-                #[allow(clippy::expect_used)]
-                vals.extend(assignment.iter().map(|v| v.expect("full match binds every slot")));
-                if self.guards_hold(&vals) {
-                    on_match(&vals)
-                } else {
-                    true
-                }
-            });
-        MatchReport {
-            matches: report.stats.found,
-            stats: report.stats,
-            exhausted: report.exhausted,
-        }
+    ) -> SearchReport {
+        let mut vals: Vec<Value> = Vec::with_capacity(self.vars.len());
+        self.pattern.for_each_match(skip, instance, seed, config, |assignment| {
+            vals.clear();
+            // Invariant: `for_each_match` only yields
+            // complete assignments — every slot is `Some`.
+            #[allow(clippy::expect_used)]
+            vals.extend(assignment.iter().map(|v| v.expect("full match binds every slot")));
+            if self.guards_hold(&vals) {
+                on_match(&vals)
+            } else {
+                true
+            }
+        })
     }
 }
 
@@ -234,17 +195,11 @@ pub struct SatisfactionPlan {
 }
 
 impl SatisfactionPlan {
-    /// Compile the satisfaction check for one conclusion disjunct.
+    /// Compile the satisfaction check for one conclusion disjunct. Any
+    /// conclusion variable outside the premise gets a free slot above
+    /// it, so an existential works whether or not it is declared.
     pub fn compile(premise_plan: &PremisePlan, conclusion: &Conjunct) -> Self {
         let mut slots = premise_plan.slot_map();
-        let mut next = premise_plan.num_vars() as u32;
-        for &ev in &conclusion.existentials {
-            slots.entry(ev).or_insert_with(|| {
-                let s = next;
-                next += 1;
-                s
-            });
-        }
         let atoms: Vec<PatternAtom> = conclusion
             .atoms
             .iter()
@@ -254,7 +209,10 @@ impl SatisfactionPlan {
                     .args
                     .iter()
                     .map(|t| match *t {
-                        Term::Var(v) => PatArg::Var(slots[&v]),
+                        Term::Var(v) => {
+                            let next = slots.len() as u32;
+                            PatArg::Var(*slots.entry(v).or_insert(next))
+                        }
                         Term::Const(c) => PatArg::Fixed(Value::Const(c)),
                     })
                     .collect(),
@@ -262,20 +220,14 @@ impl SatisfactionPlan {
             .collect();
         SatisfactionPlan {
             pattern: CompiledPattern::new(atoms),
-            n_premise: premise_plan.num_vars(),
+            n_premise: premise_plan.vars.len(),
         }
     }
 
     /// Does some extension of the trigger's assignment (existentials
-    /// free) satisfy the conclusion in `instance`? Unbounded.
-    pub fn satisfiable(&self, instance: &Instance, premise_vals: &[Value]) -> bool {
-        let mut stats = HomStats::default();
-        self.satisfiable_budgeted(instance, premise_vals, &HomConfig::default(), &mut stats).holds()
-    }
-
-    /// Three-valued satisfiability under `config`'s budgets,
-    /// accumulating search work into `stats`.
-    pub fn satisfiable_budgeted(
+    /// free) satisfy the conclusion in `instance`? Three-valued under
+    /// `config`'s budgets, accumulating search work into `stats`.
+    pub fn satisfiable(
         &self,
         instance: &Instance,
         premise_vals: &[Value],
@@ -285,7 +237,7 @@ impl SatisfactionPlan {
         debug_assert_eq!(premise_vals.len(), self.n_premise);
         let seed: Vec<Option<Value>> = premise_vals.iter().map(|&v| Some(v)).collect();
         let mut found = false;
-        let report = self.pattern.for_each_match(instance, &seed, config, |_| {
+        let report = self.pattern.for_each_match(None, instance, &seed, config, |_| {
             found = true;
             false
         });
@@ -380,8 +332,26 @@ impl FiringTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rde_deps::parse_dependency;
+    use rde_deps::{parse_dependency, Premise};
+    use rde_hom::Exhausted;
     use rde_model::{NullId, Vocabulary};
+
+    /// Every guarded premise match of `text`'s premise in `instance`,
+    /// as slot assignments (unbounded).
+    fn matches(v: &mut Vocabulary, text: &str, instance: &Instance) -> Vec<Vec<Value>> {
+        let plan = PremisePlan::compile(&parse_dependency(v, text).unwrap().premise);
+        let mut out = Vec::new();
+        let report = plan.for_each_match(instance, &HomConfig::default(), |vals| {
+            out.push(vals.to_vec());
+            true
+        });
+        assert!(report.exhausted.is_none());
+        out
+    }
+
+    fn satisfiable(sat: &SatisfactionPlan, instance: &Instance, vals: &[Value]) -> bool {
+        sat.satisfiable(instance, vals, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
 
     #[test]
     fn slot_order_matches_universal_vars() {
@@ -393,41 +363,72 @@ mod tests {
     }
 
     #[test]
-    fn full_enumeration_agrees_with_matching() {
+    fn matches_join_premises() {
+        // Only a→b→c joins: P(a, ?x) has no P(?x, ·) continuation.
         let mut v = Vocabulary::new();
         let i = rde_model::parse::parse_instance(&mut v, "P(a, b)\nP(b, c)\nP(a, ?x)\n").unwrap();
-        let d = parse_dependency(&mut v, "P(x, y) & P(y, z) -> P(x, z)").unwrap();
-        let plan = PremisePlan::compile(&d.premise);
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        plan.for_each_match(&i, |vals| {
-            keys.push(vals.to_vec());
-            true
-        });
-        let universal = d.universal_vars();
-        let mut legacy: Vec<Vec<Value>> = Vec::new();
-        crate::matching::for_each_premise_match(&d.premise, &i, |a| {
-            legacy.push(crate::matching::trigger_key(&universal, a));
-            true
-        });
-        keys.sort();
-        legacy.sort();
-        assert_eq!(keys, legacy);
+        let got = matches(&mut v, "P(x, y) & P(y, z) -> P(x, z)", &i);
+        let (a, b, c) = (v.const_value("a"), v.const_value("b"), v.const_value("c"));
+        assert_eq!(got, vec![vec![a, b, c]]);
+    }
+
+    #[test]
+    fn nulls_in_the_instance_match_like_values() {
+        let mut v = Vocabulary::new();
+        let i = rde_model::parse::parse_instance(&mut v, "P(a, b)\nP(b, c)\nP(a, ?x)\n").unwrap();
+        // All three facts, including P(a, ?x).
+        assert_eq!(matches(&mut v, "P(x, y) -> P(y, x)", &i).len(), 3);
+    }
+
+    #[test]
+    fn instance_nulls_never_collide_with_slots() {
+        // A high null id next to low slot numbers: the repeated null
+        // binds both slots to the same value, once.
+        let mut v = Vocabulary::new();
+        for _ in 0..10 {
+            v.fresh_null();
+        }
+        let i = rde_model::parse::parse_instance(&mut v, "P(?big, ?big)").unwrap();
+        let got = matches(&mut v, "P(x, y) -> P(y, x)", &i);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0][0], got[0][1]);
+        assert!(got[0][0].is_null());
+    }
+
+    #[test]
+    fn inequality_guard_filters() {
+        let mut v = Vocabulary::new();
+        let i = rde_model::parse::parse_instance(&mut v, "R(a, a)\nR(a, b)\n").unwrap();
+        assert_eq!(matches(&mut v, "R(x, y) & x != y -> R(y, x)", &i).len(), 1);
+    }
+
+    #[test]
+    fn constant_guard_filters_nulls() {
+        let mut v = Vocabulary::new();
+        let i = rde_model::parse::parse_instance(&mut v, "Q(a)\nQ(?x)\n").unwrap();
+        let got = matches(&mut v, "Q(x) & Constant(x) -> Q(x)", &i);
+        assert_eq!(got, vec![vec![v.const_value("a")]]);
     }
 
     #[test]
     fn guards_filter_plan_matches() {
         let mut v = Vocabulary::new();
         let i = rde_model::parse::parse_instance(&mut v, "R(a, a)\nR(a, b)\nR(?n, b)").unwrap();
-        let d = parse_dependency(&mut v, "R(x, y) & Constant(x) & x != y -> R(y, x)").unwrap();
-        let plan = PremisePlan::compile(&d.premise);
+        let got = matches(&mut v, "R(x, y) & Constant(x) & x != y -> R(y, x)", &i);
+        // Only R(a, b).
+        assert_eq!(got, vec![vec![v.const_value("a"), v.const_value("b")]]);
+    }
+
+    #[test]
+    fn empty_premise_matches_once() {
+        let plan = PremisePlan::compile(&Premise::default());
         let mut count = 0;
-        plan.for_each_match(&i, |vals| {
-            assert!(vals[0].is_const());
-            assert_ne!(vals[0], vals[1]);
+        plan.for_each_match(&Instance::new(), &HomConfig::default(), |vals| {
+            assert!(vals.is_empty());
             count += 1;
             true
         });
-        assert_eq!(count, 1); // only R(a, b)
+        assert_eq!(count, 1);
     }
 
     #[test]
@@ -438,22 +439,19 @@ mod tests {
         let plan = PremisePlan::compile(&d.premise);
         let e = v.find_relation("E").unwrap();
         let (b, c) = (v.const_value("b"), v.const_value("c"));
+        let seeded = |atom_idx: usize| {
+            let seed = plan.seed_from_fact(atom_idx, &[b, c]).unwrap();
+            let mut keys = Vec::new();
+            plan.for_each_match_seeded(atom_idx, &seed, &i, &HomConfig::default(), |vals| {
+                keys.push(vals.to_vec());
+                true
+            });
+            keys
+        };
         // Seed atom 0 := E(b, c): only the match (b, c, d).
-        let seed = plan.seed_from_fact(0, &[b, c]).unwrap();
-        let mut keys = Vec::new();
-        plan.for_each_match_seeded(0, &seed, &i, |vals| {
-            keys.push(vals.to_vec());
-            true
-        });
-        assert_eq!(keys, vec![vec![b, c, v.const_value("d")]]);
+        assert_eq!(seeded(0), vec![vec![b, c, v.const_value("d")]]);
         // Seed atom 1 := E(b, c): only the match (a, b, c).
-        let seed = plan.seed_from_fact(1, &[b, c]).unwrap();
-        keys.clear();
-        plan.for_each_match_seeded(1, &seed, &i, |vals| {
-            keys.push(vals.to_vec());
-            true
-        });
-        assert_eq!(keys, vec![vec![v.const_value("a"), b, c]]);
+        assert_eq!(seeded(1), vec![vec![v.const_value("a"), b, c]]);
         assert_eq!(plan.atom_rel(0), e);
     }
 
@@ -476,9 +474,28 @@ mod tests {
         let i = rde_model::parse::parse_instance(&mut v, "Q(a, ?w)").unwrap();
         let (a, b) = (v.const_value("a"), v.const_value("b"));
         // Trigger (x=b, y=a): Q(a, ·) exists.
-        assert!(sat.satisfiable(&i, &[b, a]));
+        assert!(satisfiable(&sat, &i, &[b, a]));
         // Trigger (x=a, y=b): no Q(b, ·).
-        assert!(!sat.satisfiable(&i, &[a, b]));
+        assert!(!satisfiable(&sat, &i, &[a, b]));
+    }
+
+    #[test]
+    fn seeded_satisfiability_is_three_valued() {
+        let mut v = Vocabulary::new();
+        let i = rde_model::parse::parse_instance(&mut v, "P(a, b)\nP(b, c)\nP(a, ?x)\n").unwrap();
+        let d = parse_dependency(&mut v, "P(x, y) -> exists z . P(y, z)").unwrap();
+        let sat = SatisfactionPlan::compile(&PremisePlan::compile(&d.premise), &d.disjuncts[0]);
+        let (a, c) = (v.const_value("a"), v.const_value("c"));
+        let mut stats = HomStats::default();
+        // y := a extends (P(a, ·) exists); y := c does not.
+        assert_eq!(sat.satisfiable(&i, &[c, a], &HomConfig::default(), &mut stats), Verdict::Holds);
+        assert_eq!(sat.satisfiable(&i, &[a, c], &HomConfig::default(), &mut stats), Verdict::Fails);
+        assert!(stats.nodes > 0);
+        let starved = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        assert_eq!(
+            sat.satisfiable(&i, &[c, a], &starved, &mut stats),
+            Verdict::Unknown { budget: Exhausted::Nodes(0) }
+        );
     }
 
     #[test]

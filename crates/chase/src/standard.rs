@@ -20,7 +20,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rde_deps::{Dependency, SchemaMapping};
-use rde_faults::ExecContext;
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{Fact, Instance, RelId, Value, Vocabulary};
@@ -118,20 +117,17 @@ pub struct ChaseOptions {
     /// dependency, under which assignment, produced which facts).
     /// Off by default — tracing costs memory proportional to the chase.
     pub trace: bool,
-    /// Budgets for the homomorphism searches behind premise matching and
-    /// restricted-chase satisfaction checks. Unbounded by default; when a
-    /// budget cuts a search short the chase returns
-    /// [`ChaseError::MatchBudgetExhausted`] rather than an unsound
-    /// result.
-    pub hom: HomConfig,
-    /// Scoped execution context for this chase. Its cancel token is
-    /// checked at the top of every round and propagated into the
-    /// round's homomorphism searches (unless [`ChaseOptions::hom`]
-    /// already carries its own live context); its fault injector
-    /// drives the `chase.round` and `chase.checkpoint.write` injection
+    /// Budgets and execution context for the chase. The node and time
+    /// budgets bound every homomorphism search behind premise matching
+    /// and restricted-chase satisfaction checks; when one cuts a search
+    /// short the chase returns [`ChaseError::MatchBudgetExhausted`]
+    /// rather than an unsound result. The context's cancel token is
+    /// checked at the top of every round and inside every search; its
+    /// fault injector drives the `chase.round`,
+    /// `chase.restricted.check` and `chase.checkpoint.write` injection
     /// points. A cancelled run returns [`ChaseError::Cancelled`].
-    /// Inert by default.
-    pub ctx: ExecContext,
+    /// Unbounded and inert by default.
+    pub hom: HomConfig,
     /// Write a resumable snapshot of the round state every N completed
     /// rounds (see [`CheckpointPolicy`]). Off by default.
     pub checkpoint: Option<CheckpointPolicy>,
@@ -149,7 +145,6 @@ impl Default for ChaseOptions {
             max_facts: 1_000_000,
             trace: false,
             hom: HomConfig::default(),
-            ctx: ExecContext::default(),
             checkpoint: None,
             resume_from: None,
         }
@@ -305,7 +300,7 @@ fn collect_dep(
                 return false;
             }
             let satisfied = restricted
-                && match plan.satisfaction.satisfiable_budgeted(current, vals, hom, &mut stats) {
+                && match plan.satisfaction.satisfiable(current, vals, hom, &mut stats) {
                     Verdict::Holds => true,
                     Verdict::Fails => false,
                     Verdict::Unknown { budget } => {
@@ -318,8 +313,8 @@ fn collect_dep(
         };
         match delta {
             None => {
-                let report = plan.premise.for_each_match_budgeted(current, hom, &mut on_match);
-                out.matches += report.matches;
+                let report = plan.premise.for_each_match(current, hom, &mut on_match);
+                out.matches += report.stats.found;
                 out.hom += report.stats;
                 if exhausted.get().is_none() {
                     exhausted.set(report.exhausted);
@@ -330,14 +325,14 @@ fn collect_dep(
                     let rel = plan.premise.atom_rel(atom_idx);
                     for fact in db.for_rel(rel) {
                         if let Some(seed) = plan.premise.seed_from_fact(atom_idx, fact.args()) {
-                            let report = plan.premise.for_each_match_seeded_budgeted(
+                            let report = plan.premise.for_each_match_seeded(
                                 atom_idx,
                                 &seed,
                                 current,
                                 hom,
                                 &mut on_match,
                             );
-                            out.matches += report.matches;
+                            out.matches += report.stats.found;
                             out.hom += report.stats;
                             if exhausted.get().is_none() {
                                 exhausted.set(report.exhausted);
@@ -389,7 +384,7 @@ pub fn chase(
 
     // The context's scope label rides on the run span, so one journal
     // shared by many contexts can be demultiplexed per context.
-    let run_span = match options.ctx.scope.as_deref() {
+    let run_span = match options.hom.ctx.scope.as_deref() {
         Some(scope) => rde_obs::span(
             "chase.run",
             &[
@@ -415,16 +410,6 @@ pub fn chase(
     let mut delta: Option<Vec<Fact>> = None;
     let semi_naive = options.variant != ChaseVariant::Naive;
     let restricted = options.variant == ChaseVariant::Restricted;
-    // The round's hom searches inherit the chase's context, so
-    // cancellation also cuts *within* a round at node-stride
-    // granularity and the scoped injector reaches the
-    // `hom.search.exhaust` point. An explicit context on `options.hom`
-    // wins.
-    let hom_cfg = if options.hom.ctx.is_inert() {
-        HomConfig { ctx: options.ctx.clone(), ..options.hom.clone() }
-    } else {
-        options.hom.clone()
-    };
     // A previous run that crashed (or took an injected fault) between a
     // checkpoint's create and rename strands `<path>.tmp` next to the
     // last complete snapshot. Sweep it before writing or resuming —
@@ -464,7 +449,7 @@ pub fn chase(
         );
     }
     loop {
-        if options.ctx.should_inject("chase.round") || options.ctx.is_cancelled() {
+        if options.hom.ctx.should_inject("chase.round") || options.hom.ctx.is_cancelled() {
             rde_obs::counter!("chase.cancelled").inc();
             rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
             return Err(ChaseError::Cancelled);
@@ -490,7 +475,7 @@ pub fn chase(
         let collected: Result<Vec<DepCandidates>, ChaseError> = plans
             .iter()
             .enumerate()
-            .map(|(di, p)| collect_dep(di, p, &current, &fired_keys, db, restricted, &hom_cfg))
+            .map(|(di, p)| collect_dep(di, p, &current, &fired_keys, db, restricted, &options.hom))
             .collect();
         let per_dep = match collected {
             Ok(per_dep) => per_dep,
@@ -578,19 +563,14 @@ pub fn chase(
                 // Same chaos point as the collection-phase pre-check:
                 // the sequential re-check can die too, and must fail
                 // just as loudly.
-                if options.ctx.should_inject("chase.restricted.check") {
+                if options.hom.ctx.should_inject("chase.restricted.check") {
                     rde_obs::counter!("chase.budget.match_exhausted").inc();
                     rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
                     return Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) });
                 }
                 // Sequential semantics: an earlier firing in this round
                 // may have satisfied this trigger already.
-                match plan.satisfaction.satisfiable_budgeted(
-                    &current,
-                    &vals,
-                    &hom_cfg,
-                    &mut stats.hom,
-                ) {
+                match plan.satisfaction.satisfiable(&current, &vals, &options.hom, &mut stats.hom) {
                     Verdict::Holds => continue,
                     Verdict::Fails => {}
                     Verdict::Unknown { budget: Exhausted::Cancelled } => {
@@ -671,7 +651,7 @@ pub fn chase(
             if policy.every > 0 && rounds.is_multiple_of(policy.every) {
                 checkpoint::save(
                     &policy.path,
-                    &options.ctx.injector,
+                    &options.hom.ctx.injector,
                     &SnapshotRef {
                         rounds,
                         fired,
@@ -704,27 +684,26 @@ pub fn chase_mapping(
     Ok(result.instance.restrict_to(&mapping.target))
 }
 
-/// Convenience used pervasively by `rde-core`: oblivious chase of the
-/// mapping with default budgets.
-pub fn chase_mapping_default(
-    instance: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<Instance, ChaseError> {
-    chase_mapping(instance, mapping, vocab, &ChaseOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
+    use rde_faults::ExecContext;
     use rde_model::parse::parse_instance;
+
+    fn equivalent(a: &Instance, b: &Instance) -> bool {
+        rde_hom::hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+
+    fn under(ctx: ExecContext) -> HomConfig {
+        HomConfig { ctx, ..HomConfig::default() }
+    }
 
     fn chase_text(mapping_text: &str, instance_text: &str) -> (Vocabulary, Instance) {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, mapping_text).unwrap();
         let i = parse_instance(&mut v, instance_text).unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         (v, j)
     }
 
@@ -747,7 +726,7 @@ mod tests {
         )
         .unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        let vres = chase_mapping_default(&u, &m, &mut v).unwrap();
+        let vres = chase_mapping(&u, &m, &mut v, &ChaseOptions::default()).unwrap();
         assert_eq!(vres.len(), 2);
         assert!(!vres.is_ground());
         let p = v.find_relation("P").unwrap();
@@ -807,7 +786,7 @@ mod tests {
         let standard = chase_mapping(&i, &m, &mut v, &opts).unwrap();
         // Second trigger (a, c) is satisfied by the first firing's Q(a, Z).
         assert_eq!(standard.len(), 1);
-        assert!(rde_hom::hom_equivalent(&oblivious, &standard));
+        assert!(equivalent(&oblivious, &standard));
     }
 
     #[test]
@@ -819,7 +798,7 @@ mod tests {
         )
         .unwrap();
         let i = parse_instance(&mut v, "R(a, a)\nR(a, b)\nR(?n, b)").unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         // Only R(a, b) passes both guards.
         let expected = parse_instance(&mut v, "P(a)").unwrap();
         assert_eq!(j, expected);
@@ -831,7 +810,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/2\nP(x,y) -> Q(y,x)").unwrap();
         let i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.nulls().len(), 2);
     }
@@ -987,9 +966,9 @@ mod tests {
         // must end in Ok (quiescent) or MatchBudgetExhausted — never a
         // panic or a silently wrong instance.
         match chase(&i, &m.dependencies, &mut v, &opts) {
-            Ok(r) => assert!(rde_hom::hom_equivalent(
+            Ok(r) => assert!(equivalent(
                 &r.instance.restrict_to(&m.target),
-                &chase_mapping_default(&i, &m, &mut v).unwrap()
+                &chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap()
             )),
             Err(e) => assert!(matches!(e, ChaseError::MatchBudgetExhausted { .. })),
         }
@@ -1019,15 +998,18 @@ mod tests {
         let i = parse_instance(&mut v, "E(a,b)").unwrap();
         let ctx = ExecContext::cancellable();
         ctx.cancel.cancel();
-        let opts = ChaseOptions { ctx, max_rounds: u64::MAX, ..ChaseOptions::default() };
+        let opts =
+            ChaseOptions { hom: under(ctx), max_rounds: u64::MAX, ..ChaseOptions::default() };
         assert_eq!(
             chase(&i, std::slice::from_ref(&dep), &mut v, &opts).unwrap_err(),
             ChaseError::Cancelled
         );
         // An already-expired deadline cancels at the first round check.
         let opts = ChaseOptions {
-            ctx: ExecContext::default()
-                .with_cancel(rde_faults::CancelToken::with_deadline(std::time::Duration::ZERO)),
+            hom: under(
+                ExecContext::default()
+                    .with_cancel(rde_faults::CancelToken::with_deadline(std::time::Duration::ZERO)),
+            ),
             max_rounds: u64::MAX,
             ..ChaseOptions::default()
         };
@@ -1037,31 +1019,10 @@ mod tests {
         );
         // A live but uncancelled token does not disturb a normal run.
         let copy = rde_deps::parse_dependency(&mut v, "E(x, y) -> F(x, y)").unwrap();
-        let opts = ChaseOptions { ctx: ExecContext::cancellable(), ..ChaseOptions::default() };
+        let opts =
+            ChaseOptions { hom: under(ExecContext::cancellable()), ..ChaseOptions::default() };
         let r = chase(&i, &[copy], &mut v, &opts).unwrap();
         assert_eq!(r.fired, 1);
-    }
-
-    #[test]
-    fn chase_context_reaches_the_hom_searches() {
-        // The chase clones its context into the effective hom config,
-        // so cancellation cuts *inside* a round too. A token cancelled
-        // after N stride-checks is hard to time deterministically, so
-        // instead verify the plumbing: an explicit hom-level context
-        // wins over the chase-level one, and the chase-level context
-        // is used when the hom config's is inert.
-        let mut v = Vocabulary::new();
-        let dep = rde_deps::parse_dependency(&mut v, "E(x, y) -> F(x, y)").unwrap();
-        let i = parse_instance(&mut v, "E(a,b)").unwrap();
-        let hom_ctx = ExecContext::cancellable();
-        hom_ctx.cancel.cancel();
-        // Cancelled hom context: the first premise search reports
-        // Exhausted::Cancelled, which the chase maps to Cancelled.
-        let opts = ChaseOptions {
-            hom: HomConfig { ctx: hom_ctx, ..HomConfig::default() },
-            ..ChaseOptions::default()
-        };
-        assert_eq!(chase(&i, &[dep], &mut v, &opts).unwrap_err(), ChaseError::Cancelled);
     }
 
     #[test]
@@ -1149,7 +1110,7 @@ mod tests {
         assert_eq!(restricted.len(), 2, "one Q per distinct first component");
         let naive =
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::Naive)).unwrap();
-        assert!(rde_hom::hom_equivalent(&naive, &restricted));
+        assert!(equivalent(&naive, &restricted));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use rde_core::retry::{retry_budgeted, RetryPolicy};
 use rde_core::{CoreError, Universe};
 use rde_deps::{parse_mapping, printer, SchemaMapping};
 use rde_faults::{CancelToken, ExecContext};
-use rde_hom::{Exhausted, HomConfig, HomStats};
-use rde_model::{display, parse::parse_instance, Instance, Vocabulary};
+use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_model::{display, parse::parse_instance, Instance, Substitution, Vocabulary};
 use rde_obs::{journal, Record, Sink};
 use rde_query::ConjunctiveQuery;
 
@@ -317,7 +317,6 @@ fn hom_config(opts: &Options) -> HomConfig {
         node_budget: opts.node_budget,
         time_budget: opts.time_budget_ms.map(Duration::from_millis),
         ctx: exec_context(opts),
-        ..HomConfig::default()
     }
 }
 
@@ -327,7 +326,6 @@ fn hom_config(opts: &Options) -> HomConfig {
 fn chase_options(opts: &Options) -> ChaseOptions {
     ChaseOptions {
         hom: hom_config(opts),
-        ctx: exec_context(opts),
         checkpoint: opts
             .checkpoint
             .as_deref()
@@ -374,15 +372,12 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
-    let u = chase_mapping(&instance, &mapping, &mut vocab, &ChaseOptions::default())
-        .map_err(|e| e.to_string())?;
-    let result = disjunctive_chase(
-        &u,
-        &reverse.dependencies,
-        &mut vocab,
-        &DisjunctiveChaseOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let forward = chase_options(opts);
+    let u = chase_mapping(&instance, &mapping, &mut vocab, &forward).map_err(chase_err)?;
+    let options =
+        DisjunctiveChaseOptions { hom: forward.hom.clone(), ..DisjunctiveChaseOptions::default() };
+    let result =
+        disjunctive_chase(&u, &reverse.dependencies, &mut vocab, &options).map_err(chase_err)?;
     println!("# {} leaf instance(s)", result.leaves.len());
     for (i, leaf) in result.leaves.iter().enumerate() {
         println!("# leaf {}", i + 1);
@@ -454,7 +449,7 @@ fn cmd_check_recovery(opts: &Options) -> Result<(), CliError> {
         &hom_config(opts),
         &retry_policy(opts),
         |cfg| {
-            rde_core::recovery::check_maximum_extended_recovery_budgeted(
+            rde_core::recovery::check_maximum_extended_recovery(
                 &mapping, &reverse, &u, &mut vocab, &copts, cfg, &mut stats,
             )
         },
@@ -501,7 +496,7 @@ fn cmd_invertible(opts: &Options) -> Result<(), CliError> {
         &hom_config(opts),
         &retry_policy(opts),
         |cfg| {
-            rde_core::invertibility::check_homomorphism_property_budgeted(
+            rde_core::invertibility::check_homomorphism_property(
                 &mapping, &u, &mut vocab, cfg, &mut stats,
             )
         },
@@ -570,9 +565,7 @@ fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     let (cmp, attempts) = retry_budgeted(
         &hom_config(opts),
         &retry_policy(opts),
-        |cfg| {
-            rde_core::compare::compare_lossiness_budgeted(&m1, &m2, &u, &mut vocab, cfg, &mut stats)
-        },
+        |cfg| rde_core::compare::compare_lossiness(&m1, &m2, &u, &mut vocab, cfg, &mut stats),
         |outcome| matches!(outcome, Ok(rde_core::compare::Comparison::Unknown { .. })),
     );
     print_retry_note(attempts);
@@ -617,15 +610,11 @@ fn cmd_certain(opts: &Options) -> Result<(), CliError> {
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
     let query_text = opts.positional(3, "query")?;
     let q = ConjunctiveQuery::parse(&mut vocab, query_text).map_err(|e| e.to_string())?;
-    let answers = rde_query::reverse_certain_answers(
-        &q,
-        &instance,
-        &mapping,
-        &reverse,
-        &mut vocab,
-        &DisjunctiveChaseOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let options =
+        DisjunctiveChaseOptions { hom: hom_config(opts), ..DisjunctiveChaseOptions::default() };
+    let answers =
+        rde_query::reverse_certain_answers(&q, &instance, &mapping, &reverse, &mut vocab, &options)
+            .map_err(chase_err)?;
     println!("# {} certain answer(s)", answers.len());
     for tuple in &answers {
         let rendered: Vec<String> = tuple.iter().map(|&v| vocab.value_name(v)).collect();
@@ -651,8 +640,10 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let i1 = load_instance(&mut vocab, opts.positional(0, "first instance file")?)?;
     let i2 = load_instance(&mut vocab, opts.positional(1, "second instance file")?)?;
-    match rde_hom::find_hom(&i1, &i2) {
-        Some(h) => {
+    let config = hom_config(opts);
+    let mut stats = HomStats::default();
+    match rde_hom::find_hom(&i1, &i2, &Substitution::new(), &config, &mut stats) {
+        Ok(Some(h)) => {
             println!("I1 -> I2: YES");
             let mut bindings: Vec<(rde_model::NullId, rde_model::Value)> = h.iter().collect();
             bindings.sort();
@@ -660,15 +651,29 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
                 println!("  {} |-> {}", vocab.null_name(n), vocab.value_name(img));
             }
         }
-        None => println!("I1 -> I2: NO"),
+        Ok(None) => println!("I1 -> I2: NO"),
+        Err(budget) => println!("I1 -> I2: {}", answer(Verdict::Unknown { budget }, "YES", "NO")?),
     }
-    println!("I2 -> I1: {}", if rde_hom::exists_hom(&i2, &i1) { "YES" } else { "NO" });
+    let back = rde_hom::exists_hom(&i2, &i1, &config, &mut stats);
+    println!("I2 -> I1: {}", answer(back, "YES", "NO")?);
+    let equivalent = rde_hom::hom_equivalent(&i1, &i2, &config, &mut stats);
     println!(
         "hom-equivalent: {}; isomorphic: {}",
-        rde_hom::hom_equivalent(&i1, &i2),
+        answer(equivalent, "true", "false")?,
         rde_hom::is_isomorphic(&i1, &i2)
     );
     Ok(())
+}
+
+/// Render a verdict as `yes` or `no`, `UNKNOWN (…)` when a budget cut
+/// the search, or a cancellation error.
+fn answer(verdict: Verdict, yes: &str, no: &str) -> Result<String, CliError> {
+    match verdict {
+        Verdict::Holds => Ok(yes.to_owned()),
+        Verdict::Fails => Ok(no.to_owned()),
+        Verdict::Unknown { budget: Exhausted::Cancelled } => Err(CliError::Cancelled),
+        Verdict::Unknown { budget } => Ok(format!("UNKNOWN ({budget}); raise --node-budget")),
+    }
 }
 
 fn cmd_eval(opts: &Options) -> Result<(), CliError> {

@@ -46,6 +46,19 @@ fn expired_deadline_cancels_the_checkers_and_the_census() {
         vec!["invertible", &example("two_step.map")[..]],
         vec!["loss", &example("two_step.map")],
         vec!["core", &example("two_step.map"), &example("flights.inst")],
+        vec![
+            "reverse",
+            &example("decomposition.map"),
+            &example("decomposition_reverse.map"),
+            &example("employees.inst"),
+        ],
+        vec![
+            "certain",
+            &example("decomposition.map"),
+            &example("decomposition_reverse.map"),
+            &example("employees.inst"),
+            "q(x) :- P(x, y, z)",
+        ],
     ] {
         let output =
             rde().args(&cmd).args(bound).args(["--deadline-ms", "0"]).output().expect("spawn rde");

@@ -7,11 +7,11 @@ use std::sync::Mutex;
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
 use rde_faults::ExecContext;
-use rde_hom::{core_of_budgeted, exists_hom, exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{core_of_budgeted, exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, NullId, Value, Vocabulary};
 
-use crate::CoreError;
+use crate::{chase_options, CoreError};
 
 /// `I₁ →_M I₂` for a tgd-specified mapping: by Proposition 4.7 this is
 /// `chase_M(I₁) → chase_M(I₂)` (equivalently, `eSol_M(I₂) ⊆
@@ -24,7 +24,7 @@ pub fn arrow_m(
 ) -> Result<bool, CoreError> {
     let c1 = chase_mapping(i1, mapping, vocab, &ChaseOptions::default())?;
     let c2 = chase_mapping(i2, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&c1, &c2))
+    Ok(exists_hom(&c1, &c2, &HomConfig::default(), &mut HomStats::default()).holds())
 }
 
 /// `I₁ →_{M,g} I₂` for **ground** `I₁`, `I₂` (Definition 4.18):
@@ -185,8 +185,9 @@ fn fingerprint(instance: &Instance) -> Vec<Fact> {
 /// census do quadratically many `→_M` queries).
 ///
 /// Construction chases every instance once and **core-canonicalizes**
-/// the result: instances whose chase cores share a [`fingerprint`] are
-/// hom-equivalent, so they collapse into one equivalence class with a
+/// the result: instances whose chase cores share a fingerprint (the
+/// canonical fact list up to null renaming) are hom-equivalent, so they
+/// collapse into one equivalence class with a
 /// single representative (the core — also the cheapest instance to
 /// search). Arrow queries then memoize per *class pair*, so a family
 /// with `k` classes answers its `n²` queries with at most `k²` searches,
@@ -208,37 +209,26 @@ pub struct ArrowMCache {
     memo: Mutex<MemoTable>,
     stats: Mutex<CacheStats>,
     policy: CachePolicy,
-    /// The execution context the cache was built under. Unbudgeted
-    /// arrow queries take no config, so the construction-time context
-    /// also scopes their fault-injection decisions
-    /// (`core.arrow.poison`).
+    /// The execution context the cache was built under. It scopes the
+    /// `core.arrow.poison` fault point for every query, whatever
+    /// config the query runs under.
     ctx: ExecContext,
 }
 
 impl ArrowMCache {
     /// Chase every instance of the family once and canonicalize the
-    /// results into hom-equivalence classes.
-    pub fn new(
-        mapping: &SchemaMapping,
-        family: &[Instance],
-        vocab: &mut Vocabulary,
-    ) -> Result<Self, CoreError> {
-        Self::new_budgeted(mapping, family, vocab, &HomConfig::default())
-    }
-
-    /// Like [`Self::new`], but construction runs under `config`'s
-    /// budgets, threaded differently into the two construction phases
+    /// results into hom-equivalence classes. Construction runs under
+    /// `config`, threaded differently into the two construction phases
     /// to match their failure modes:
     ///
-    /// * the **chase** gets `config`'s *time* budget only — premise
-    ///   matching is strict (a truncated enumeration is a
-    ///   [`CoreError`], not a degraded result), and these searches are
-    ///   tiny, so a node budget meant for the checker's hom decisions
-    ///   would only inject spurious hard failures;
+    /// * the **chase** gets `config`'s context and *time* budget only
+    ///   — premise matching is strict, so a node budget meant for the
+    ///   checker's hom decisions would only inject spurious hard
+    ///   failures;
     /// * **core minimization** gets the full `config` — it degrades
     ///   gracefully (a budget-cut fold test leaves a sound, possibly
     ///   non-minimal representative, never a wrong class).
-    pub fn new_budgeted(
+    pub fn new(
         mapping: &SchemaMapping,
         family: &[Instance],
         vocab: &mut Vocabulary,
@@ -247,7 +237,7 @@ impl ArrowMCache {
         Self::with_policy(mapping, family, vocab, config, CachePolicy::default())
     }
 
-    /// Like [`Self::new_budgeted`], with explicit size caps. A
+    /// Like [`Self::new`], with explicit size caps. A
     /// long-lived cache must bound both stores; see [`CachePolicy`].
     pub fn with_policy(
         mapping: &SchemaMapping,
@@ -257,11 +247,7 @@ impl ArrowMCache {
         policy: CachePolicy,
     ) -> Result<Self, CoreError> {
         let span = rde_obs::span("core.arrow.build", &[("instances", family.len().into())]);
-        let chase_options = ChaseOptions {
-            hom: HomConfig { node_budget: None, ..config.clone() },
-            ctx: config.ctx.clone(),
-            ..ChaseOptions::default()
-        };
+        let chase_options = chase_options(config);
         let mut chased = Vec::with_capacity(family.len());
         let mut class = Vec::with_capacity(family.len());
         let mut reps: Vec<Instance> = Vec::new();
@@ -314,16 +300,11 @@ impl ArrowMCache {
         Ok(cache)
     }
 
-    /// `family[a] →_M family[b]`: `chase_M(a) → chase_M(b)`, answered on
-    /// the core representatives and memoized per class pair.
-    pub fn arrow(&self, a: usize, b: usize) -> bool {
-        self.arrow_budgeted(a, b, &HomConfig::default()).holds()
-    }
-
-    /// Budgeted form of [`Self::arrow`]: decides on the core
-    /// representatives under `config`, memoizing definite verdicts only
-    /// (an `Unknown` must stay retryable with a larger budget).
-    pub fn arrow_budgeted(&self, a: usize, b: usize, config: &HomConfig) -> Verdict {
+    /// `family[a] →_M family[b]`: `chase_M(a) → chase_M(b)`, decided on
+    /// the core representatives under `config` and memoized per class
+    /// pair. Only definite verdicts are memoized: an `Unknown` stays
+    /// retryable with a larger budget.
+    pub fn arrow(&self, a: usize, b: usize, config: &HomConfig) -> Verdict {
         let (ka, kb) = (ClassKey(self.class[a] as u64), ClassKey(self.class[b] as u64));
         self.decide(ka, &self.reps[self.class[a]], kb, &self.reps[self.class[b]], config).0
     }
@@ -341,11 +322,7 @@ impl ArrowMCache {
         vocab: &mut Vocabulary,
         config: &HomConfig,
     ) -> Result<ClassHandle, CoreError> {
-        let chase_options = ChaseOptions {
-            hom: HomConfig { node_budget: None, ..config.clone() },
-            ctx: config.ctx.clone(),
-            ..ChaseOptions::default()
-        };
+        let chase_options = chase_options(config);
         let c = chase_mapping(instance, mapping, vocab, &chase_options)?;
         let outcome = core_of_budgeted(&c, config);
         self.lock_stats().hom += outcome.stats;
@@ -393,16 +370,11 @@ impl ArrowMCache {
 
     /// `a →_M b` between two interned (or family) classes: decided on
     /// the handles' core representatives under `config`, memoized per
-    /// class pair like every other arrow query.
-    pub fn arrow_classes(&self, a: &ClassHandle, b: &ClassHandle, config: &HomConfig) -> Verdict {
-        self.decide(a.key, &a.rep, b.key, &b.rep, config).0
-    }
-
-    /// Like [`Self::arrow_classes`], but also report whether the
-    /// verdict came from the memo (`true` = hit). The serve access log
-    /// wants an exact per-request cache flag; deriving one from the
-    /// global hit counters would misattribute under concurrency.
-    pub fn arrow_classes_probed(
+    /// class pair like every other arrow query. Also reports whether
+    /// the memo answered (`true` = hit): the serve access log wants an
+    /// exact per-request cache flag, and deriving one from the global
+    /// hit counters would misattribute under concurrency.
+    pub fn arrow_classes(
         &self,
         a: &ClassHandle,
         b: &ClassHandle,
@@ -439,7 +411,7 @@ impl ArrowMCache {
         }
         rde_obs::counter!("core.arrow.misses").inc();
         let mut search = HomStats::default();
-        let verdict = exists_hom_budgeted(rep_a, rep_b, config, &mut search);
+        let verdict = exists_hom(rep_a, rep_b, config, &mut search);
         let mut stats = self.lock_stats();
         stats.misses += 1;
         stats.hom += search;
@@ -554,6 +526,15 @@ mod tests {
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
+    fn hom(a: &Instance, b: &Instance) -> bool {
+        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+
+    /// Unbounded `→_M` through the cache.
+    fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
+        cache.arrow(a, b, &HomConfig::default()).holds()
+    }
+
     #[test]
     fn copy_mapping_arrow_is_hom() {
         // For the copy mapping, →_M coincides with → (Example 6.7).
@@ -564,7 +545,7 @@ mod tests {
         for a in &family {
             for b in &family {
                 let lhs = arrow_m(&m, a, b, &mut v).unwrap();
-                let rhs = exists_hom(a, b);
+                let rhs = hom(a, b);
                 assert_eq!(lhs, rhs, "copy mapping must not change the relation: {a:?} vs {b:?}");
             }
         }
@@ -581,7 +562,7 @@ mod tests {
         let i2 = parse_instance(&mut v, "Q(0)").unwrap();
         assert!(arrow_m(&m, &i1, &i2, &mut v).unwrap());
         assert!(arrow_m(&m, &i2, &i1, &mut v).unwrap());
-        assert!(!exists_hom(&i1, &i2));
+        assert!(!hom(&i1, &i2));
     }
 
     #[test]
@@ -592,14 +573,14 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let cache = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
         let n = cache.len();
         for a in 0..n {
-            assert!(cache.arrow(a, a));
+            assert!(arrow(&cache, a, a));
             for b in 0..n {
                 for c in 0..n {
-                    if cache.arrow(a, b) && cache.arrow(b, c) {
-                        assert!(cache.arrow(a, c), "transitivity violated");
+                    if arrow(&cache, a, b) && arrow(&cache, b, c) {
+                        assert!(arrow(&cache, a, c), "transitivity violated");
                     }
                 }
             }
@@ -614,12 +595,12 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let cache = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
         let n = family.len();
         for a in 0..n {
             for b in 0..n {
                 assert_eq!(
-                    cache.arrow(a, b),
+                    arrow(&cache, a, b),
                     arrow_m(&m, &family[a], &family[b], &mut v).unwrap(),
                     "cache disagrees on ({a}, {b})"
                 );
@@ -632,7 +613,7 @@ mod tests {
         // A second sweep is answered entirely from the memo.
         for a in 0..n {
             for b in 0..n {
-                cache.arrow(a, b);
+                arrow(&cache, a, b);
             }
         }
         assert_eq!(cache.stats().misses, s.misses);
@@ -646,15 +627,15 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
-        let budgeted = ArrowMCache::new(&m, &family, &mut v).unwrap();
-        let tight = rde_hom::HomConfig { node_budget: Some(1), ..rde_hom::HomConfig::default() };
+        let reference = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
+        let budgeted = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
+        let tight = rde_hom::HomConfig { node_budget: Some(1), ..HomConfig::default() };
         let mut unknowns = 0;
         for a in 0..family.len() {
             for b in 0..family.len() {
-                match budgeted.arrow_budgeted(a, b, &tight) {
+                match budgeted.arrow(a, b, &tight) {
                     Verdict::Unknown { .. } => unknowns += 1,
-                    definite => assert_eq!(definite.holds(), reference.arrow(a, b)),
+                    definite => assert_eq!(definite.holds(), arrow(&reference, a, b)),
                 }
             }
         }
@@ -662,7 +643,7 @@ mod tests {
         // Unknowns are not memoized: an unbounded retry settles them.
         for a in 0..family.len() {
             for b in 0..family.len() {
-                assert_eq!(budgeted.arrow(a, b), reference.arrow(a, b));
+                assert_eq!(arrow(&budgeted, a, b), arrow(&reference, a, b));
             }
         }
     }
@@ -675,7 +656,7 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let reference = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
         let capped = ArrowMCache::with_policy(
             &m,
             &family,
@@ -689,8 +670,8 @@ mod tests {
             for a in 0..n {
                 for b in 0..n {
                     assert_eq!(
-                        capped.arrow(a, b),
-                        reference.arrow(a, b),
+                        arrow(&capped, a, b),
+                        arrow(&reference, a, b),
                         "sweep {sweep}: capped cache disagrees on ({a}, {b})"
                     );
                 }
@@ -711,7 +692,7 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let reference = ArrowMCache::new(&m, &family, &mut v, &HomConfig::default()).unwrap();
         let uncached = ArrowMCache::with_policy(
             &m,
             &family,
@@ -722,7 +703,7 @@ mod tests {
         .unwrap();
         for a in 0..family.len() {
             for b in 0..family.len() {
-                assert_eq!(uncached.arrow(a, b), reference.arrow(a, b));
+                assert_eq!(arrow(&uncached, a, b), arrow(&reference, a, b));
             }
         }
         let s = uncached.stats();
@@ -763,7 +744,7 @@ mod tests {
         // answers agree with the uncached ground truth.
         for (i, ha) in handles.iter().enumerate() {
             for (j, hb) in handles.iter().enumerate() {
-                let got = cache.arrow_classes(ha, hb, &config);
+                let (got, _) = cache.arrow_classes(ha, hb, &config);
                 let want = arrow_m(&m, &insts[i], &insts[j], &mut v).unwrap();
                 assert!(!got.is_unknown());
                 assert_eq!(got.holds(), want, "disagrees on interned pair ({i}, {j})");
@@ -777,7 +758,7 @@ mod tests {
         // An instance hom-equivalent to a family member lands on the
         // pinned class and never counts against the interned cap.
         let fam = cache.intern(&m, &family[0], &mut v, &config).unwrap();
-        assert!(cache.arrow_classes(&fam, &fam, &config).holds());
+        assert!(cache.arrow_classes(&fam, &fam, &config).0.holds());
         assert_eq!(cache.stats().interned, before.interned, "pinned classes are not interned");
     }
 
@@ -792,7 +773,7 @@ mod tests {
         let family = u.collect_instances(&v, &m.source).unwrap();
         for a in &family {
             for b in &family {
-                if exists_hom(a, b) {
+                if hom(a, b) {
                     assert!(arrow_m(&m, a, b, &mut v).unwrap());
                 }
             }

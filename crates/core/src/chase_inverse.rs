@@ -3,7 +3,7 @@
 
 use rde_chase::{chase, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::hom_equivalent;
+use rde_hom::{hom_equivalent, HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 use crate::CoreError;
@@ -35,7 +35,7 @@ pub fn roundtrip_recovers(
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
     let recovered = roundtrip(mapping, reverse, source, vocab)?;
-    Ok(hom_equivalent(source, &recovered))
+    Ok(hom_equivalent(source, &recovered, &HomConfig::default(), &mut HomStats::default()).holds())
 }
 
 /// Is `M′` a chase-inverse of `M` over the given family of source
@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use crate::Universe;
     use rde_deps::parse_mapping;
+    use rde_hom::exists_hom;
     use rde_model::parse::parse_instance;
 
     fn two_step(v: &mut Vocabulary) -> SchemaMapping {
@@ -104,7 +105,7 @@ mod tests {
                 assert!(f.args().iter().all(|a| a.is_null()), "extra fact {f:?} must be all-null");
             }
         }
-        assert!(rde_hom::exists_hom(&recovered, &i));
+        assert!(exists_hom(&recovered, &i, &HomConfig::default(), &mut HomStats::default()).holds());
     }
 
     /// Example 3.19: the Constant-guarded inverse M″ is NOT a

@@ -36,22 +36,13 @@ pub enum Comparison {
 /// by enumerating `→_{M₁}` vs `→_{M₂}` on the universe. A strict or
 /// incomparable verdict is witnessed by genuine pairs; equality and
 /// containment are bounded evidence.
+///
+/// Arrow queries run under `config`, their work accumulates into
+/// `stats`. Verdicts that assert the *absence* of pairs (equality,
+/// strict containment) require every pair settled; if some were cut and
+/// no incomparability witness pair was completed, the honest answer is
+/// [`Comparison::Unknown`].
 pub fn compare_lossiness(
-    m1: &SchemaMapping,
-    m2: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-) -> Result<Comparison, CoreError> {
-    let mut stats = HomStats::default();
-    compare_lossiness_budgeted(m1, m2, universe, vocab, &HomConfig::default(), &mut stats)
-}
-
-/// Budgeted form of [`compare_lossiness`]: arrow queries run under
-/// `config`, their work accumulates into `stats`. Verdicts that assert
-/// the *absence* of pairs (equality, strict containment) require every
-/// pair settled; if some were cut and no incomparability witness pair
-/// was completed, the honest answer is [`Comparison::Unknown`].
-pub fn compare_lossiness_budgeted(
     m1: &SchemaMapping,
     m2: &SchemaMapping,
     universe: &Universe,
@@ -67,15 +58,15 @@ pub fn compare_lossiness_budgeted(
     let family = universe
         .collect_instances(vocab, &m1.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let c1 = ArrowMCache::new_budgeted(m1, &family, vocab, config)?;
-    let c2 = ArrowMCache::new_budgeted(m2, &family, vocab, config)?;
+    let c1 = ArrowMCache::new(m1, &family, vocab, config)?;
+    let c2 = ArrowMCache::new(m2, &family, vocab, config)?;
     let mut only1: Option<(Instance, Instance)> = None;
     let mut only2: Option<(Instance, Instance)> = None;
     let mut unsettled: Option<Exhausted> = None;
     for a in 0..family.len() {
         for b in 0..family.len() {
-            let v1 = c1.arrow_budgeted(a, b, config);
-            let v2 = c2.arrow_budgeted(a, b, config);
+            let v1 = c1.arrow(a, b, config);
+            let v2 = c2.arrow(a, b, config);
             if let (Verdict::Unknown { budget }, _) | (_, Verdict::Unknown { budget }) = (v1, v2) {
                 unsettled = unsettled.or(Some(budget));
                 continue;
@@ -121,6 +112,7 @@ pub fn check_less_lossy_via_recoveries<'a>(
 ) -> Result<Option<(Instance, Instance)>, CoreError> {
     let copts = ChaseOptions::default();
     let dopts = DisjunctiveChaseOptions::default();
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i in sources {
         let u1 = chase_mapping(i, m1, vocab, &copts)?;
         let k1 = disjunctive_chase(&u1, &rec1.dependencies, vocab, &dopts)?;
@@ -129,7 +121,7 @@ pub fn check_less_lossy_via_recoveries<'a>(
         let leaves2: Vec<Instance> = k2.leaves.iter().map(|l| l.restrict_to(&m2.source)).collect();
         for v1 in &k1.leaves {
             let v1s = v1.restrict_to(&m1.source);
-            if !leaves2.iter().any(|v2| exists_hom(v2, &v1s)) {
+            if !leaves2.iter().any(|v2| exists_hom(v2, &v1s, &unbounded, &mut stats).holds()) {
                 return Ok(Some((i.clone(), v1s)));
             }
         }
@@ -141,6 +133,16 @@ pub fn check_less_lossy_via_recoveries<'a>(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
+
+    fn compare(
+        m1: &SchemaMapping,
+        m2: &SchemaMapping,
+        u: &crate::Universe,
+        v: &mut Vocabulary,
+    ) -> Result<crate::compare::Comparison, crate::CoreError> {
+        let unbounded = HomConfig::default();
+        crate::compare::compare_lossiness(m1, m2, u, v, &unbounded, &mut HomStats::default())
+    }
 
     /// Example 6.7: the copy mapping M₁ is strictly less lossy than the
     /// componentwise copy M₂.
@@ -154,10 +156,10 @@ mod tests {
         )
         .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
-        let cmp = compare_lossiness(&m1, &m2, &u, &mut v).unwrap();
+        let cmp = compare(&m1, &m2, &u, &mut v).unwrap();
         assert_eq!(cmp, Comparison::StrictlyLessLossy);
         // And symmetrically.
-        let cmp = compare_lossiness(&m2, &m1, &u, &mut v).unwrap();
+        let cmp = compare(&m2, &m1, &u, &mut v).unwrap();
         assert_eq!(cmp, Comparison::StrictlyMoreLossy);
     }
 
@@ -166,7 +168,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert_eq!(compare_lossiness(&m, &m, &u, &mut v).unwrap(), Comparison::EquallyLossy);
+        assert_eq!(compare(&m, &m, &u, &mut v).unwrap(), Comparison::EquallyLossy);
     }
 
     #[test]
@@ -177,7 +179,7 @@ mod tests {
         let m1 = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let m2 = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
-        let cmp = compare_lossiness(&m1, &m2, &u, &mut v).unwrap();
+        let cmp = compare(&m1, &m2, &u, &mut v).unwrap();
         assert!(matches!(cmp, Comparison::Incomparable { .. }), "got {cmp:?}");
     }
 
@@ -187,7 +189,7 @@ mod tests {
         let m1 = parse_mapping(&mut v, "source: P/1\ntarget: Q/1\nP(x) -> Q(x)").unwrap();
         let m2 = parse_mapping(&mut v, "source: R/1\ntarget: Q/1\nR(x) -> Q(x)").unwrap();
         let u = Universe::small(&mut v);
-        assert!(compare_lossiness(&m1, &m2, &u, &mut v).is_err());
+        assert!(compare(&m1, &m2, &u, &mut v).is_err());
     }
 
     /// Theorem 6.8 in action (the paper's closing example): with the

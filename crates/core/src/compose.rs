@@ -29,7 +29,7 @@
 
 use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::{SchemaMapping, Term};
-use rde_hom::exists_hom;
+use rde_hom::{exists_hom, HomConfig, HomStats};
 use rde_model::fx::FxHashSet;
 use rde_model::{Instance, NullId, Substitution, Value, Vocabulary};
 
@@ -155,9 +155,10 @@ pub fn in_composition(
     // Standard satisfaction treats the source's nulls as rigid values:
     // only the chase-invented nulls may collapse.
     let rigid: FxHashSet<NullId> = source.nulls().into_iter().collect();
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for h in enumerate_collapses(&u, reverse, other, &rigid, vocab, options.max_collapses)? {
         let j = h.apply_instance(&u);
-        if satisfies(&j, other, reverse) {
+        if satisfies(&j, other, reverse, &unbounded, &mut stats).holds() {
             return Ok(true);
         }
     }
@@ -209,7 +210,10 @@ fn leaf_maps_into(
     options: &ComposeOptions,
 ) -> Result<bool, CoreError> {
     let result = disjunctive_chase(middle, &reverse.dependencies, vocab, &options.chase)?;
-    Ok(result.leaves.iter().any(|leaf| exists_hom(&leaf.restrict_to(&reverse.target), i2)))
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    Ok(result.leaves.iter().any(|leaf| {
+        exists_hom(&leaf.restrict_to(&reverse.target), i2, &unbounded, &mut stats).holds()
+    }))
 }
 
 #[cfg(test)]
@@ -321,7 +325,10 @@ mod tests {
         let empty = Instance::new();
         let opts = ComposeOptions::default();
         assert!(in_e_composition(&m, &m2, &i, &empty, &mut v, &opts).unwrap());
-        assert!(!exists_hom(&i, &empty), "the leaked pair is outside e(Id)");
+        assert!(
+            exists_hom(&i, &empty, &HomConfig::default(), &mut HomStats::default()).fails(),
+            "the leaked pair is outside e(Id)"
+        );
         // (I, I) itself still holds — M″ is an extended *recovery*, the
         // failure is maximality/inversehood, matching Example 3.19's
         // chase-inverse refutation.

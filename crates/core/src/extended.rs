@@ -1,17 +1,17 @@
 //! Extended solutions and the homomorphic extension `e(M)` (Section 3).
 
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::semantics::satisfies;
-use crate::{CoreError, Universe};
+use crate::{chase_options, CoreError, Universe};
 
 /// The extended identity: `(I₁, I₂) ∈ e(Id)` iff `I₁ → I₂`
 /// (Definition 3.7 — `e(Id)` *is* the homomorphism relation).
 pub fn in_extended_identity(i1: &Instance, i2: &Instance) -> bool {
-    exists_hom(i1, i2)
+    exists_hom(i1, i2, &HomConfig::default(), &mut HomStats::default()).holds()
 }
 
 /// Is `J` an extended solution for `I` w.r.t. a **tgd-specified** `M`
@@ -23,20 +23,12 @@ pub fn in_extended_identity(i1: &Instance, i2: &Instance) -> bool {
 /// completeness: from `I → I′`, `(I′, J′) ⊨ Σ`, `J′ → J` follows
 /// `chase_M(I) → chase_M(I′) → J′ → J` by chase monotonicity and
 /// universality.)
+///
+/// The chase runs under `config`'s context and time budget (it is
+/// polynomial for s-t tgds) with no node budget; the NP-hard
+/// `chase_M(I) → J` search obeys all of `config` and degrades to
+/// [`Verdict::Unknown`].
 pub fn is_extended_solution(
-    source: &Instance,
-    target: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&canonical, target))
-}
-
-/// Budgeted form of [`is_extended_solution`]: the chase runs unbounded
-/// (it is polynomial for s-t tgds), the NP-hard `chase_M(I) → J` search
-/// obeys `config` and degrades to [`Verdict::Unknown`].
-pub fn is_extended_solution_budgeted(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
@@ -44,8 +36,8 @@ pub fn is_extended_solution_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom_budgeted(&canonical, target, config, stats))
+    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    Ok(exists_hom(&canonical, target, config, stats))
 }
 
 /// Is `J` an extended **universal** solution for `I` (Definition 3.5):
@@ -53,21 +45,11 @@ pub fn is_extended_solution_budgeted(
 ///
 /// Since `chase_M(I)` is one (Prop 3.11) and extended solutions are
 /// up-closed under `→`, this holds iff `J ∈ eSol_M(I)` and
-/// `J → chase_M(I)` — i.e. `J` is hom-equivalent to the chase.
+/// `J → chase_M(I)` — i.e. `J` is hom-equivalent to the chase. The
+/// chase runs as in [`is_extended_solution`]; the two hom searches
+/// combine by Kleene conjunction, so a definite failure on either side
+/// dominates a cut search on the other.
 pub fn is_extended_universal_solution(
-    source: &Instance,
-    target: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&canonical, target) && exists_hom(target, &canonical))
-}
-
-/// Budgeted form of [`is_extended_universal_solution`]: the two
-/// hom-equivalence searches combine by Kleene conjunction, so a definite
-/// failure on either side dominates a cut search on the other.
-pub fn is_extended_universal_solution_budgeted(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
@@ -75,12 +57,8 @@ pub fn is_extended_universal_solution_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    let fwd = exists_hom_budgeted(&canonical, target, config, stats);
-    if fwd.fails() {
-        return Ok(Verdict::Fails);
-    }
-    Ok(fwd.and(exists_hom_budgeted(target, &canonical, config, stats)))
+    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    Ok(rde_hom::hom_equivalent(&canonical, target, config, stats))
 }
 
 /// Definition-level extended-solution check for **arbitrary**
@@ -99,12 +77,15 @@ pub fn is_extended_solution_bounded(
 ) -> Result<bool, CoreError> {
     let sources = universe.collect_instances(vocab, &mapping.source).map_err(invalid)?;
     let targets = universe.collect_instances(vocab, &mapping.target).map_err(invalid)?;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i_prime in &sources {
-        if !exists_hom(source, i_prime) {
+        if !exists_hom(source, i_prime, &unbounded, &mut stats).holds() {
             continue;
         }
         for j_prime in &targets {
-            if satisfies(i_prime, j_prime, mapping) && exists_hom(j_prime, target) {
+            if satisfies(i_prime, j_prime, mapping, &unbounded, &mut stats).holds()
+                && exists_hom(j_prime, target, &unbounded, &mut stats).holds()
+            {
                 return Ok(true);
             }
         }
@@ -125,6 +106,22 @@ mod tests {
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
+    fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        let mut stats = HomStats::default();
+        is_extended_solution(i, j, m, v, &HomConfig::default(), &mut stats).unwrap().holds()
+    }
+
+    fn universal(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        let mut stats = HomStats::default();
+        let unbounded = HomConfig::default();
+        is_extended_universal_solution(i, j, m, v, &unbounded, &mut stats).unwrap().holds()
+    }
+
+    fn sol(i: &Instance, j: &Instance, m: &SchemaMapping) -> bool {
+        let mut stats = HomStats::default();
+        crate::semantics::satisfies(i, j, m, &HomConfig::default(), &mut stats).holds()
+    }
+
     fn decomposition(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/3\ntarget: Q/2, R/2\nP(x,y,z) -> Q(x,y) & R(y,z)").unwrap()
     }
@@ -137,8 +134,8 @@ mod tests {
         let m = decomposition(&mut v);
         let vi = parse_instance(&mut v, "P(a, b, ?z)\nP(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        assert!(!crate::semantics::is_solution(&vi, &u, &m));
-        assert!(is_extended_solution(&vi, &u, &m, &mut v).unwrap());
+        assert!(!sol(&vi, &u, &m));
+        assert!(esol(&vi, &u, &m, &mut v));
     }
 
     /// Proposition 3.4: for ground `I` and tgd-specified `M`,
@@ -151,9 +148,7 @@ mod tests {
         let i = parse_instance(&mut v, "P(a, b, c)").unwrap();
         let universe = Universe::new(&mut v, 3, 1, 3);
         for j in universe.instances(&v, &m.target).unwrap() {
-            let sol = crate::semantics::is_solution(&i, &j, &m);
-            let esol = is_extended_solution(&i, &j, &m, &mut v).unwrap();
-            assert_eq!(sol, esol, "disagreement on {j:?}");
+            assert_eq!(sol(&i, &j, &m), esol(&i, &j, &m, &mut v), "disagreement on {j:?}");
         }
     }
 
@@ -164,8 +159,8 @@ mod tests {
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(d, b)\nR(b, c)").unwrap();
-        assert!(!crate::semantics::is_solution(&i, &u, &m));
-        assert!(is_extended_solution(&i, &u, &m, &mut v).unwrap());
+        assert!(!sol(&i, &u, &m));
+        assert!(esol(&i, &u, &m, &mut v));
     }
 
     #[test]
@@ -173,12 +168,13 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(a, b, ?z)\nP(c, d, e)").unwrap();
-        let u = rde_chase::chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(is_extended_universal_solution(&i, &u, &m, &mut v).unwrap());
+        let u =
+            rde_chase::chase_mapping(&i, &m, &mut v, &rde_chase::ChaseOptions::default()).unwrap();
+        assert!(universal(&i, &u, &m, &mut v));
         // A strictly more specific solution is extended but not universal.
         let ground = parse_instance(&mut v, "Q(a,b)\nR(b,a)\nQ(c,d)\nR(d,e)").unwrap();
-        assert!(is_extended_solution(&i, &ground, &m, &mut v).unwrap());
-        assert!(!is_extended_universal_solution(&i, &ground, &m, &mut v).unwrap());
+        assert!(esol(&i, &ground, &m, &mut v));
+        assert!(!universal(&i, &ground, &m, &mut v));
     }
 
     /// The chase shortcut agrees with the definition-level bounded check
@@ -192,11 +188,34 @@ mod tests {
         let targets = universe.collect_instances(&v, &m.target).unwrap();
         for i in &sources {
             for j in &targets {
-                let fast = is_extended_solution(i, j, &m, &mut v).unwrap();
+                let fast = esol(i, j, &m, &mut v);
                 let slow = is_extended_solution_bounded(i, j, &m, &universe, &v).unwrap();
                 assert_eq!(fast, slow, "disagree on I={i:?} J={j:?}");
             }
         }
+    }
+
+    /// The checkers' chase runs under the caller's context: a cancelled
+    /// token stops a divergent `chase_M(I)` at its first round instead
+    /// of letting it run into the round budget.
+    #[test]
+    fn the_chase_honours_the_callers_context() {
+        let mut v = Vocabulary::new();
+        let mut m = parse_mapping(&mut v, "source: E/2\ntarget: F/2\nE(x, y) -> F(x, y)").unwrap();
+        // A target tgd that never quiesces.
+        m.dependencies
+            .push(rde_deps::parse_dependency(&mut v, "F(x, y) -> exists z . F(y, z)").unwrap());
+        let i = parse_instance(&mut v, "E(a, b)").unwrap();
+        let ctx = rde_faults::ExecContext::cancellable();
+        ctx.cancel.cancel();
+        let config = HomConfig { ctx, ..HomConfig::default() };
+        let mut stats = HomStats::default();
+        let j = Instance::new();
+        let err = is_extended_solution(&i, &j, &m, &mut v, &config, &mut stats).unwrap_err();
+        assert_eq!(err, CoreError::Cancelled);
+        let err =
+            is_extended_universal_solution(&i, &j, &m, &mut v, &config, &mut stats).unwrap_err();
+        assert_eq!(err, CoreError::Cancelled);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::exists_hom;
+use rde_hom::{exists_hom, HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::arrow_m;
@@ -67,9 +67,10 @@ pub fn faithfulness_at(
         }
     }
     let mut universality_counterexample = None;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i_prime in probe_family {
         if arrow_m(mapping, source, i_prime, vocab)?
-            && !leaves.iter().any(|v| exists_hom(v, i_prime))
+            && !leaves.iter().any(|v| exists_hom(v, i_prime, &unbounded, &mut stats).holds())
         {
             universality_counterexample = Some(i_prime.clone());
             break;
@@ -146,9 +147,10 @@ pub fn faithfulness_at_with_collapses(
         }
     }
     let mut universality_counterexample = None;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i_prime in probe_family {
         if arrow_m(mapping, source, i_prime, vocab)?
-            && !leaves.iter().any(|v| exists_hom(v, i_prime))
+            && !leaves.iter().any(|v| exists_hom(v, i_prime, &unbounded, &mut stats).holds())
         {
             universality_counterexample = Some(i_prime.clone());
             break;

@@ -17,6 +17,7 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 use crate::compose::{in_composition, ComposeOptions};
@@ -72,10 +73,11 @@ pub fn check_subset_property(
         .ground_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
         .collect();
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
+    let unbounded = HomConfig::default();
+    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab, &unbounded)?;
     for a in 0..family.len() {
         for b in 0..family.len() {
-            if cache.arrow(a, b) && !family[a].is_subset_of(&family[b]) {
+            if cache.arrow(a, b, &unbounded).holds() && !family[a].is_subset_of(&family[b]) {
                 return Ok(BoundedVerdict::Counterexample {
                     i1: family[a].clone(),
                     i2: family[b].clone(),
@@ -109,10 +111,12 @@ pub fn is_witness_for(
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
     let chase_i = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    let mut is_solution = |i: &Instance, j: &Instance| {
+        crate::semantics::satisfies(i, j, mapping, &unbounded, &mut stats).holds()
+    };
     for i_prime in candidates {
-        if crate::semantics::is_solution(i_prime, target, mapping)
-            && !crate::semantics::is_solution(i_prime, &chase_i, mapping)
-        {
+        if is_solution(i_prime, target) && !is_solution(i_prime, &chase_i) {
             return Ok(false);
         }
     }
@@ -128,7 +132,8 @@ pub fn is_witness_solution(
     candidates: &[Instance],
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
-    if !crate::semantics::is_solution(source, target, mapping) {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    if !crate::semantics::satisfies(source, target, mapping, &unbounded, &mut stats).holds() {
         return Ok(false);
     }
     is_witness_for(mapping, target, source, candidates, vocab)
@@ -147,7 +152,8 @@ pub fn ground_information_loss(
         .ground_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
         .collect();
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
+    let unbounded = HomConfig::default();
+    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab, &unbounded)?;
     let mut arrow_m_pairs = 0usize;
     let mut hom_pairs = 0usize;
     let mut lost_pairs = 0usize;
@@ -161,7 +167,7 @@ pub fn ground_information_loss(
                 arrow_m_pairs += 1;
                 continue;
             }
-            if cache.arrow(a, b) {
+            if cache.arrow(a, b, &unbounded).holds() {
                 arrow_m_pairs += 1;
                 lost_pairs += 1;
                 if examples.len() < max_examples {
@@ -237,7 +243,9 @@ mod tests {
         // An overly large target is a solution but not a witness: it is
         // also a solution for bigger sources.
         let too_big = parse_instance(&mut v, "Q(u0)\nQ(u1)").unwrap();
-        assert!(crate::semantics::is_solution(&i, &too_big, &m));
+        let unbounded = HomConfig::default();
+        let stats = &mut HomStats::default();
+        assert!(crate::semantics::satisfies(&i, &too_big, &m, &unbounded, stats).holds());
         assert!(!is_witness_solution(&m, &too_big, &i, &candidates, &mut v).unwrap());
     }
 

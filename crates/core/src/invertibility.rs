@@ -3,7 +3,7 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::{CoreError, Universe};
@@ -39,29 +39,16 @@ impl BoundedVerdict {
 
 /// Search the universe for a violation of the **homomorphism property**
 /// (Definition 3.12): instances with `chase_M(I₁) → chase_M(I₂)` but
-/// not `I₁ → I₂`. By Theorem 3.13 a counterexample refutes extended
-/// invertibility outright.
+/// not `I₁ → I₂`. By Theorem 3.13 this is the bounded
+/// extended-invertibility check for tgd-specified mappings: a
+/// counterexample refutes extended invertibility outright.
+///
+/// Every homomorphism search obeys `config`, and search work (including
+/// the arrow cache's) accumulates into `stats`. A counterexample needs
+/// both sides settled, so a run with cut searches that finds none
+/// returns [`BoundedVerdict::Unknown`] instead of claiming the property
+/// holds.
 pub fn check_homomorphism_property(
-    mapping: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-) -> Result<BoundedVerdict, CoreError> {
-    let mut stats = HomStats::default();
-    check_homomorphism_property_budgeted(
-        mapping,
-        universe,
-        vocab,
-        &HomConfig::default(),
-        &mut stats,
-    )
-}
-
-/// Budgeted form of [`check_homomorphism_property`]: every homomorphism
-/// search obeys `config`, and search work (including the arrow cache's)
-/// accumulates into `stats`. A counterexample needs both sides settled,
-/// so a run with cut searches that finds none returns
-/// [`BoundedVerdict::Unknown`] instead of claiming the property holds.
-pub fn check_homomorphism_property_budgeted(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
@@ -71,13 +58,13 @@ pub fn check_homomorphism_property_budgeted(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new_budgeted(mapping, &family, vocab, config)?;
+    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab, config)?;
     let verdict = check_homomorphism_property_cached(&cache, &family, config, stats);
     *stats += cache.stats().hom;
     Ok(verdict)
 }
 
-/// The scan of [`check_homomorphism_property_budgeted`] against a
+/// The scan of [`check_homomorphism_property`] against a
 /// **prebuilt** arrow cache over `family`. This is the repeated-query
 /// entry point: a long-lived service builds the cache once per mapping
 /// and answers every later check from the memo table, each request
@@ -94,22 +81,20 @@ pub fn check_homomorphism_property_cached(
     let mut verdict = BoundedVerdict::HoldsWithinBound;
     'scan: for a in 0..family.len() {
         for b in 0..family.len() {
-            match cache.arrow_budgeted(a, b, config) {
+            match cache.arrow(a, b, config) {
                 Verdict::Fails => {}
                 Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
-                Verdict::Holds => {
-                    match exists_hom_budgeted(&family[a], &family[b], config, stats) {
-                        Verdict::Holds => {}
-                        Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
-                        Verdict::Fails => {
-                            verdict = BoundedVerdict::Counterexample {
-                                i1: family[a].clone(),
-                                i2: family[b].clone(),
-                            };
-                            break 'scan;
-                        }
+                Verdict::Holds => match exists_hom(&family[a], &family[b], config, stats) {
+                    Verdict::Holds => {}
+                    Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
+                    Verdict::Fails => {
+                        verdict = BoundedVerdict::Counterexample {
+                            i1: family[a].clone(),
+                            i2: family[b].clone(),
+                        };
+                        break 'scan;
                     }
-                }
+                },
             }
         }
     }
@@ -117,17 +102,6 @@ pub fn check_homomorphism_property_cached(
         (BoundedVerdict::HoldsWithinBound, Some(budget)) => BoundedVerdict::Unknown { budget },
         (v, _) => v,
     }
-}
-
-/// Bounded extended-invertibility check via Theorem 3.13 (for
-/// tgd-specified mappings, extended invertibility ⟺ the homomorphism
-/// property).
-pub fn check_extended_invertibility(
-    mapping: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-) -> Result<BoundedVerdict, CoreError> {
-    check_homomorphism_property(mapping, universe, vocab)
 }
 
 /// Does `J` **capture** `I` for `M` within the universe (Definition
@@ -140,15 +114,19 @@ pub fn captures_bounded(
     universe: &Universe,
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
-    if !crate::extended::is_extended_solution(source, target, mapping, vocab)? {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    let mut esol = |i: &Instance, vocab: &mut Vocabulary| {
+        crate::extended::is_extended_solution(i, target, mapping, vocab, &unbounded, &mut stats)
+    };
+    if !esol(source, vocab)?.holds() {
         return Ok(false);
     }
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
     for k in &family {
-        if crate::extended::is_extended_solution(k, target, mapping, vocab)?
-            && !exists_hom(k, source)
+        if esol(k, vocab)?.holds()
+            && !exists_hom(k, source, &unbounded, &mut HomStats::default()).holds()
         {
             return Ok(false);
         }
@@ -183,6 +161,11 @@ mod tests {
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
+    fn unbounded_check(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
+        check_homomorphism_property(m, u, v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+    }
+
     /// Example 3.14: the union mapping is not extended-invertible, with
     /// the paper's exact counterexample shape ({P(c)}, {Q(c)}).
     #[test]
@@ -191,12 +174,14 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
             .unwrap();
         let u = Universe::new(&mut v, 1, 0, 1);
-        let verdict = check_homomorphism_property(&m, &u, &mut v).unwrap();
+        let verdict = unbounded_check(&m, &u, &mut v);
         match verdict {
             BoundedVerdict::Counterexample { i1, i2 } => {
                 assert_eq!(i1.len(), 1);
                 assert_eq!(i2.len(), 1);
-                assert!(!exists_hom(&i1, &i2));
+                assert!(
+                    exists_hom(&i1, &i2, &HomConfig::default(), &mut HomStats::default()).fails()
+                );
             }
             other => panic!("union mapping must fail, got {other:?}"),
         }
@@ -210,7 +195,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::small(&mut v);
-        assert!(check_homomorphism_property(&m, &u, &mut v).unwrap().holds());
+        assert!(unbounded_check(&m, &u, &mut v).holds());
         assert_eq!(check_chase_is_capturing(&m, &u, &mut v).unwrap(), None);
     }
 
@@ -227,7 +212,7 @@ mod tests {
         .unwrap();
         // With nulls: counterexample found.
         let with_nulls = Universe::new(&mut v, 1, 1, 1);
-        let verdict = check_homomorphism_property(&m, &with_nulls, &mut v).unwrap();
+        let verdict = unbounded_check(&m, &with_nulls, &mut v);
         let BoundedVerdict::Counterexample { i1, i2 } = verdict else {
             panic!("expected a null counterexample");
         };
@@ -235,7 +220,7 @@ mod tests {
         // Ground-only universe: the homomorphism property holds there
         // (the mapping IS invertible in the ground sense).
         let ground_only = Universe::new(&mut v, 2, 0, 2);
-        assert!(check_homomorphism_property(&m, &ground_only, &mut v).unwrap().holds());
+        assert!(unbounded_check(&m, &ground_only, &mut v).holds());
     }
 
     /// A starved budget cannot settle the pairs: the checker says
@@ -250,8 +235,7 @@ mod tests {
         let u = Universe::new(&mut v, 2, 1, 2);
         let tight = HomConfig { node_budget: Some(1), ..HomConfig::default() };
         let mut stats = HomStats::default();
-        let verdict =
-            check_homomorphism_property_budgeted(&m, &u, &mut v, &tight, &mut stats).unwrap();
+        let verdict = check_homomorphism_property(&m, &u, &mut v, &tight, &mut stats).unwrap();
         // The property holds for this mapping, so a definite
         // counterexample is impossible; with cut searches the only
         // honest answer is Unknown.
@@ -260,8 +244,7 @@ mod tests {
         // An adequate budget restores the unbounded answer.
         let mut stats = HomStats::default();
         let verdict =
-            check_homomorphism_property_budgeted(&m, &u, &mut v, &HomConfig::default(), &mut stats)
-                .unwrap();
+            check_homomorphism_property(&m, &u, &mut v, &HomConfig::default(), &mut stats).unwrap();
         assert!(verdict.holds());
     }
 
@@ -274,7 +257,7 @@ mod tests {
             parse_mapping(&mut v, "source: P/2\ntarget: Q/2\nP(x,y) -> exists z . Q(x,z) & Q(z,y)")
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
-        assert!(check_homomorphism_property(&m, &u, &mut v).unwrap().holds());
+        assert!(unbounded_check(&m, &u, &mut v).holds());
     }
 
     #[test]

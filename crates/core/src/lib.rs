@@ -77,3 +77,12 @@ pub mod universe;
 
 pub use error::CoreError;
 pub use universe::Universe;
+
+/// Chase options for a checker running under `config`: its context and
+/// time budget, no node budget. Premise matching is strict (a cut is a
+/// [`CoreError`]), so a node budget meant for the checker's hom
+/// decisions would only inject spurious hard failures.
+pub(crate) fn chase_options(config: &rde_hom::HomConfig) -> rde_chase::ChaseOptions {
+    let hom = rde_hom::HomConfig { node_budget: None, ..config.clone() };
+    rde_chase::ChaseOptions { hom, ..rde_chase::ChaseOptions::default() }
+}

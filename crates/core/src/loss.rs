@@ -9,7 +9,7 @@
 
 use rde_deps::SchemaMapping;
 use rde_faults::ExecContext;
-use rde_hom::{exists_hom, HomConfig};
+use rde_hom::{exists_hom, HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::ArrowMCache;
@@ -72,12 +72,14 @@ pub fn information_loss_scoped(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = ArrowMCache::new_budgeted(
+    let cache = ArrowMCache::new(
         mapping,
         &family,
         vocab,
         &HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
     )?;
+    // The census polls `ctx` per row; its searches run unbounded.
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     let span = rde_obs::span("core.loss.census", &[("universe", family.len().into())]);
     let journal_on = rde_obs::journal::enabled();
     let mut arrow_m_pairs = 0usize;
@@ -90,14 +92,13 @@ pub fn information_loss_scoped(
         }
         let lost_before = lost_pairs;
         for b in 0..family.len() {
-            let hom = exists_hom(&family[a], &family[b]);
-            if hom {
+            if exists_hom(&family[a], &family[b], &unbounded, &mut stats).holds() {
                 hom_pairs += 1;
                 arrow_m_pairs += 1; // → ⊆ →_M (Prop 4.11)
-                debug_assert!(cache.arrow(a, b), "hom pair must be an arrow_M pair");
+                debug_assert!(cache.arrow(a, b, &unbounded).holds(), "→ pair must be a →_M pair");
                 continue;
             }
-            if cache.arrow(a, b) {
+            if cache.arrow(a, b, &unbounded).holds() {
                 arrow_m_pairs += 1;
                 lost_pairs += 1;
                 if examples.len() < max_examples {
@@ -141,7 +142,8 @@ pub fn information_loss_parallel(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = ArrowMCache::new(mapping, &family, vocab)?;
+    let unbounded = HomConfig::default();
+    let cache = ArrowMCache::new(mapping, &family, vocab, &unbounded)?;
     let span = rde_obs::span("core.loss.census", &[("universe", family.len().into())]);
     let journal_on = rde_obs::journal::enabled();
     let n = family.len();
@@ -165,16 +167,18 @@ pub fn information_loss_parallel(
             let hi = ((t + 1) * chunk).min(n);
             let family = &family;
             let cache = &cache;
+            let unbounded = &unbounded;
             handles.push(scope.spawn(move || {
                 let _req = rde_obs::request::enter(req_id);
                 let mut p = Partial::default();
+                let mut stats = HomStats::default();
                 for a in lo..hi {
                     let lost_before = p.lost.len();
                     for b in 0..n {
-                        if exists_hom(&family[a], &family[b]) {
+                        if exists_hom(&family[a], &family[b], unbounded, &mut stats).holds() {
                             p.hom_pairs += 1;
                             p.arrow_m_pairs += 1;
-                        } else if cache.arrow(a, b) {
+                        } else if cache.arrow(a, b, unbounded).holds() {
                             p.arrow_m_pairs += 1;
                             p.lost.push((a, b));
                         }
@@ -232,6 +236,7 @@ pub fn information_loss_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invertibility::check_homomorphism_property;
     use rde_deps::parse_mapping;
 
     #[test]
@@ -258,7 +263,7 @@ mod tests {
         // Every example is a genuine →_M \ → pair.
         for (i1, i2) in &report.examples {
             assert!(crate::arrow::arrow_m(&m, i1, i2, &mut v).unwrap());
-            assert!(!exists_hom(i1, i2));
+            assert!(exists_hom(i1, i2, &HomConfig::default(), &mut HomStats::default()).fails());
         }
     }
 
@@ -275,7 +280,8 @@ mod tests {
             let m = parse_mapping(&mut v, text).unwrap();
             let u = Universe::new(&mut v, 2, 1, 1);
             let report = information_loss(&m, &u, &mut v, 0).unwrap();
-            let hp = crate::invertibility::check_homomorphism_property(&m, &u, &mut v).unwrap();
+            let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+            let hp = check_homomorphism_property(&m, &u, &mut v, &unbounded, stats).unwrap();
             assert_eq!(report.is_lossless_within_bound(), hp.holds(), "mapping: {text}");
         }
     }

@@ -12,7 +12,7 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, is_isomorphic};
+use rde_hom::{exists_hom, is_isomorphic, HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 use crate::compose::ComposeOptions;
@@ -49,7 +49,7 @@ pub fn in_e_m_star(
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
     let canonical = chase_mapping(i2, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(target, &canonical))
+    Ok(exists_hom(target, &canonical, &HomConfig::default(), &mut HomStats::default()).holds())
 }
 
 /// Bounded check of Lemma 4.9: for every source `I` of the universe,
@@ -74,13 +74,15 @@ pub fn check_lemma_4_9(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i in &family {
         let u = chase_mapping(i, mapping, vocab, &ChaseOptions::default())?;
         // (U, I) ∈ e(M′) iff some disjunctive-chase leaf of U maps into I.
         let result =
             rde_chase::disjunctive_chase(&u, &reverse.dependencies, vocab, &options.chase)?;
-        let hit =
-            result.leaves.iter().any(|leaf| exists_hom(&leaf.restrict_to(&reverse.target), i));
+        let hit = result.leaves.iter().any(|leaf| {
+            exists_hom(&leaf.restrict_to(&reverse.target), i, &unbounded, &mut stats).holds()
+        });
         if !hit {
             return Ok(Some(i.clone()));
         }
@@ -101,11 +103,12 @@ pub fn check_lemma_4_12(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
+    let unbounded = HomConfig::default();
+    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab, &unbounded)?;
     for a in 0..family.len() {
         for (b, i2) in family.iter().enumerate() {
             let lhs = in_e_m_star(mapping, cache.chased(a), i2, vocab)?;
-            if lhs != cache.arrow(a, b) {
+            if lhs != cache.arrow(a, b, &unbounded).holds() {
                 return Ok(false);
             }
         }

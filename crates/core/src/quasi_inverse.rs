@@ -739,6 +739,19 @@ mod tests {
     use crate::recovery::check_maximum_extended_recovery;
     use crate::{compose::ComposeOptions, Universe};
     use rde_deps::{parse_mapping, printer};
+    use rde_hom::{HomConfig, HomStats};
+
+    fn max_recovery(
+        m: &SchemaMapping,
+        rec: &SchemaMapping,
+        u: &Universe,
+        v: &mut Vocabulary,
+        opts: &ComposeOptions,
+    ) -> crate::recovery::MaxRecoveryVerdict {
+        let unbounded = HomConfig::default();
+        check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut HomStats::default())
+            .unwrap()
+    }
 
     fn synthesize(text: &str) -> (Vocabulary, SchemaMapping, SchemaMapping) {
         let mut v = Vocabulary::new();
@@ -794,9 +807,7 @@ mod tests {
         // And it is a maximum extended recovery on a bounded universe.
         let mut v = v;
         let u = Universe::new(&mut v, 2, 1, 1);
-        let verdict =
-            check_maximum_extended_recovery(&_m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&_m, &rec, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -810,9 +821,7 @@ mod tests {
         assert!(rule.premise.inequalities.is_empty());
         let mut v = v;
         let u = Universe::new(&mut v, 1, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}");
     }
 
@@ -827,9 +836,7 @@ mod tests {
         }
         let mut v = v;
         let u = Universe::small(&mut v);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -843,9 +850,7 @@ mod tests {
         let rendered = printer::mapping(&v, &rec);
         let mut v = v;
         let u = Universe::new(&mut v, 1, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -872,9 +877,7 @@ mod tests {
         assert_eq!(rec.dependencies[0].disjuncts.len(), 2, "{rendered}");
         let mut v = v;
         let u = Universe::new(&mut v, 2, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
         // In particular it IS an extended recovery at I = {P(a, b)}.
         let i = rde_model::parse::parse_instance(&mut v, "P(a, b)").unwrap();

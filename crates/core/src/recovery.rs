@@ -78,32 +78,13 @@ impl MaxRecoveryVerdict {
 /// Bounded check of Theorem 4.13: `M′` is a maximum extended recovery
 /// of `M` iff `e(M) ∘ e(M′) = →_M`. Verifies the equality on every
 /// pair of source instances in the universe.
-pub fn check_maximum_extended_recovery(
-    mapping: &SchemaMapping,
-    reverse: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<MaxRecoveryVerdict, CoreError> {
-    let mut stats = HomStats::default();
-    check_maximum_extended_recovery_budgeted(
-        mapping,
-        reverse,
-        universe,
-        vocab,
-        options,
-        &HomConfig::default(),
-        &mut stats,
-    )
-}
-
-/// Budgeted form of [`check_maximum_extended_recovery`]: the `→_M` side
-/// of each pair runs under `config` (the composition side stays exact);
-/// unsettled pairs degrade the verdict to
+///
+/// The `→_M` side of each pair runs under `config` (the composition
+/// side stays exact); unsettled pairs degrade the verdict to
 /// [`MaxRecoveryVerdict::Unknown`] unless a definite refutation is
 /// found first. Arrow-cache search work accumulates into `stats`.
 #[allow(clippy::too_many_arguments)]
-pub fn check_maximum_extended_recovery_budgeted(
+pub fn check_maximum_extended_recovery(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     universe: &Universe,
@@ -115,12 +96,12 @@ pub fn check_maximum_extended_recovery_budgeted(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new_budgeted(mapping, &family, vocab, config)?;
+    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab, config)?;
     let mut unsettled: Option<Exhausted> = None;
     let mut refutation: Option<MaxRecoveryVerdict> = None;
     'scan: for (a, i1) in family.iter().enumerate() {
         for (b, i2) in family.iter().enumerate() {
-            let in_arrow = match cache.arrow_budgeted(a, b, config) {
+            let in_arrow = match cache.arrow(a, b, config) {
                 Verdict::Holds => true,
                 Verdict::Fails => false,
                 Verdict::Unknown { budget } => {
@@ -170,9 +151,10 @@ pub fn check_extended_inverse_semantically(
     let family = universe
         .collect_instances(vocab, &mapping.source)
         .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     for i1 in &family {
         for i2 in &family {
-            let in_hom = rde_hom::exists_hom(i1, i2);
+            let in_hom = rde_hom::exists_hom(i1, i2, &unbounded, &mut stats).holds();
             let in_comp = in_e_composition(mapping, reverse, i1, i2, vocab, options)?;
             match (in_comp, in_hom) {
                 (true, false) => {
@@ -200,6 +182,18 @@ mod tests {
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
+    fn max_recovery(
+        m: &SchemaMapping,
+        rec: &SchemaMapping,
+        u: &Universe,
+        v: &mut Vocabulary,
+        opts: &ComposeOptions,
+    ) -> crate::recovery::MaxRecoveryVerdict {
+        let unbounded = HomConfig::default();
+        check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut HomStats::default())
+            .unwrap()
+    }
+
     /// Example 1.1's natural reverse mapping is a maximum extended
     /// recovery of the decomposition mapping (bounded check of the
     /// Theorem 4.13 criterion on a small universe).
@@ -214,9 +208,7 @@ mod tests {
         )
         .unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rev, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = max_recovery(&m, &rev, &u, &mut v, &ComposeOptions::default());
         assert!(verdict.holds(), "verdict: {verdict:?}");
     }
 
@@ -234,7 +226,7 @@ mod tests {
             parse_mapping(&mut v, "source: R/1\ntarget: P/1, Q/1\nR(x) -> P(x) & Q(x)").unwrap();
         let u = Universe::new(&mut v, 1, 1, 2);
         let opts = ComposeOptions::default();
-        let verdict = check_maximum_extended_recovery(&m, &disj, &u, &mut v, &opts).unwrap();
+        let verdict = max_recovery(&m, &disj, &u, &mut v, &opts);
         assert!(verdict.holds(), "verdict: {verdict:?}");
         // The conjunctive reverse asserts facts that may be absent:
         // (I, I) ∉ e(M) ∘ e(conj) for I = {P(c)} (since Q(c) ∉ I and the
@@ -262,7 +254,7 @@ mod tests {
                 .unwrap();
         assert_eq!(cex, None);
         // ...but e(M) ∘ e(M′) is ALL pairs, strictly above →_M:
-        let verdict = check_maximum_extended_recovery(&m, &empty_rev, &u, &mut v, &opts).unwrap();
+        let verdict = max_recovery(&m, &empty_rev, &u, &mut v, &opts);
         assert!(matches!(verdict, MaxRecoveryVerdict::NotContainedInArrowM { .. }));
     }
 

@@ -1,13 +1,9 @@
 //! The semantic view of schema mappings: satisfaction, solutions,
 //! universal solutions (Section 2).
 
-use rde_chase::matching::{
-    atoms_satisfiable, atoms_satisfiable_budgeted, for_each_premise_match,
-    for_each_premise_match_budgeted, VarAssignment,
-};
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::{chase_mapping, ChaseOptions, PremisePlan, SatisfactionPlan};
 use rde_deps::{Dependency, SchemaMapping};
-use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::CoreError;
@@ -16,53 +12,34 @@ use crate::CoreError;
 ///
 /// For every premise match in `source` whose guards hold, some disjunct
 /// must be witnessed in `target` (extending the premise assignment on
-/// the existentials).
-pub fn satisfies_dependency(source: &Instance, target: &Instance, dep: &Dependency) -> bool {
-    let universal = dep.universal_vars();
-    let mut ok = true;
-    for_each_premise_match(&dep.premise, source, |assignment| {
-        let seed: VarAssignment = universal.iter().map(|&v| (v, assignment[&v])).collect();
-        let witnessed = dep.disjuncts.iter().any(|d| atoms_satisfiable(&d.atoms, target, &seed));
-        if !witnessed {
-            ok = false;
-            return false;
-        }
-        true
-    });
-    ok
-}
-
-/// Budgeted form of [`satisfies_dependency`]: premise enumeration and
-/// disjunct-witness searches obey `config`. A single trigger whose
+/// the existentials). Premise enumeration and disjunct-witness searches
+/// obey `config` and accumulate into `stats`. A single trigger whose
 /// disjuncts all *definitely* fail refutes the dependency outright even
 /// under a budget; cut searches that leave a trigger unwitnessed (or a
 /// truncated premise enumeration) degrade the verdict to
 /// [`Verdict::Unknown`].
-pub fn satisfies_dependency_budgeted(
+pub fn satisfies_dependency(
     source: &Instance,
     target: &Instance,
     dep: &Dependency,
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Verdict {
-    let universal = dep.universal_vars();
+    let premise = PremisePlan::compile(&dep.premise);
+    let disjuncts: Vec<SatisfactionPlan> =
+        dep.disjuncts.iter().map(|d| SatisfactionPlan::compile(&premise, d)).collect();
     let mut violated = false;
     let mut unknown: Option<Exhausted> = None;
-    let report = for_each_premise_match_budgeted(&dep.premise, source, config, |assignment| {
-        let seed: VarAssignment = universal.iter().map(|&v| (v, assignment[&v])).collect();
+    let report = premise.for_each_match(source, config, |vals| {
         let mut trigger_unknown: Option<Exhausted> = None;
-        let witnessed = dep.disjuncts.iter().any(|d| {
-            match atoms_satisfiable_budgeted(&d.atoms, target, &seed, config, stats) {
-                Verdict::Holds => true,
-                Verdict::Fails => false,
+        for d in &disjuncts {
+            match d.satisfiable(target, vals, config, stats) {
+                Verdict::Holds => return true,
+                Verdict::Fails => {}
                 Verdict::Unknown { budget } => {
                     trigger_unknown.get_or_insert(budget);
-                    false
                 }
             }
-        });
-        if witnessed {
-            return true;
         }
         match trigger_unknown {
             None => {
@@ -86,16 +63,13 @@ pub fn satisfies_dependency_budgeted(
 }
 
 /// `(I, J) ⊨ Σ`: the pair satisfies every dependency of the mapping.
-/// This is the paper's semantic view — `(I, J) ∈ M`.
-pub fn satisfies(source: &Instance, target: &Instance, mapping: &SchemaMapping) -> bool {
-    mapping.dependencies.iter().all(|d| satisfies_dependency(source, target, d))
-}
-
-/// Budgeted form of [`satisfies`]: Kleene conjunction over the
-/// dependencies — a definite violation short-circuits to
-/// [`Verdict::Fails`]; otherwise any cut search taints the conjunction
-/// to [`Verdict::Unknown`].
-pub fn satisfies_budgeted(
+/// This is the paper's semantic view — `(I, J) ∈ M`, i.e. `J` is a
+/// solution for `I` (Section 2).
+///
+/// Kleene conjunction over the dependencies under `config`: a definite
+/// violation short-circuits to [`Verdict::Fails`]; otherwise any cut
+/// search taints the conjunction to [`Verdict::Unknown`].
+pub fn satisfies(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
@@ -104,19 +78,13 @@ pub fn satisfies_budgeted(
 ) -> Verdict {
     let mut acc = Verdict::Holds;
     for dep in &mapping.dependencies {
-        let v = satisfies_dependency_budgeted(source, target, dep, config, stats);
+        let v = satisfies_dependency(source, target, dep, config, stats);
         if v.fails() {
             return Verdict::Fails;
         }
         acc = acc.and(v);
     }
     acc
-}
-
-/// Is `J` a solution for `I` w.r.t. `M` — i.e. `(I, J) ∈ M`
-/// (Section 2)? Alias of [`satisfies`] with solution vocabulary.
-pub fn is_solution(source: &Instance, target: &Instance, mapping: &SchemaMapping) -> bool {
-    satisfies(source, target, mapping)
 }
 
 /// Is `J` a **universal** solution for `I` w.r.t. a tgd-specified `M`?
@@ -130,11 +98,12 @@ pub fn is_universal_solution(
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
 ) -> Result<bool, CoreError> {
-    if !is_solution(source, target, mapping) {
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    if !satisfies(source, target, mapping, &unbounded, &mut stats).holds() {
         return Ok(false);
     }
     let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(rde_hom::exists_hom(target, &canonical))
+    Ok(exists_hom(target, &canonical, &unbounded, &mut stats).holds())
 }
 
 #[cfg(test)]
@@ -142,6 +111,10 @@ mod tests {
     use super::*;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
+
+    fn sat(source: &Instance, target: &Instance, mapping: &SchemaMapping) -> bool {
+        satisfies(source, target, mapping, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
 
     fn decomposition(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/3\ntarget: Q/2, R/2\nP(x,y,z) -> Q(x,y) & R(y,z)").unwrap()
@@ -155,10 +128,10 @@ mod tests {
         let good = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
         let bigger = parse_instance(&mut v, "Q(a,b)\nR(b,c)\nQ(z,z)").unwrap();
         let missing = parse_instance(&mut v, "Q(a,b)").unwrap();
-        assert!(satisfies(&i, &good, &m));
-        assert!(satisfies(&i, &bigger, &m)); // open-world: supersets are solutions
-        assert!(!satisfies(&i, &missing, &m));
-        assert!(satisfies(&Instance::new(), &Instance::new(), &m));
+        assert!(sat(&i, &good, &m));
+        assert!(sat(&i, &bigger, &m)); // open-world: supersets are solutions
+        assert!(!sat(&i, &missing, &m));
+        assert!(sat(&Instance::new(), &Instance::new(), &m));
     }
 
     #[test]
@@ -167,9 +140,9 @@ mod tests {
         let m =
             parse_mapping(&mut v, "source: P/1\ntarget: Q/2\nP(x) -> exists y . Q(x, y)").unwrap();
         let i = parse_instance(&mut v, "P(a)").unwrap();
-        assert!(satisfies(&i, &parse_instance(&mut v, "Q(a, b)").unwrap(), &m));
-        assert!(satisfies(&i, &parse_instance(&mut v, "Q(a, ?n)").unwrap(), &m));
-        assert!(!satisfies(&i, &parse_instance(&mut v, "Q(b, a)").unwrap(), &m));
+        assert!(sat(&i, &parse_instance(&mut v, "Q(a, b)").unwrap(), &m));
+        assert!(sat(&i, &parse_instance(&mut v, "Q(a, ?n)").unwrap(), &m));
+        assert!(!sat(&i, &parse_instance(&mut v, "Q(b, a)").unwrap(), &m));
     }
 
     /// Example 3.3: U = {Q(a,b), R(b,c)} is NOT a solution for
@@ -182,10 +155,10 @@ mod tests {
         let m = decomposition(&mut v);
         let vi = parse_instance(&mut v, "P(a, b, ?z)\nP(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        assert!(!satisfies(&vi, &u, &m));
+        assert!(!sat(&vi, &u, &m));
         // U′ of Example 3.3 is a solution for V.
         let u_prime = parse_instance(&mut v, "Q(a,b)\nQ(?x,b)\nR(b,c)\nR(b,?z)").unwrap();
-        assert!(satisfies(&vi, &u_prime, &m));
+        assert!(sat(&vi, &u_prime, &m));
     }
 
     #[test]
@@ -202,7 +175,7 @@ mod tests {
         assert!(is_universal_solution(&i, &canon, &m, &mut v).unwrap());
         // A ground completion is a solution but NOT universal.
         let ground = parse_instance(&mut v, "Q(a, c)\nQ(c, b)").unwrap();
-        assert!(is_solution(&i, &ground, &m));
+        assert!(sat(&i, &ground, &m));
         assert!(!is_universal_solution(&i, &ground, &m, &mut v).unwrap());
         // A padded variant of the canonical solution is still universal.
         let mut padded = canon.clone();
@@ -222,13 +195,13 @@ mod tests {
         // Unbounded budgets agree with the boolean check.
         let mut stats = HomStats::default();
         let cfg = HomConfig::default();
-        assert!(satisfies_budgeted(&i, &good, &m, &cfg, &mut stats).holds());
-        assert!(satisfies_budgeted(&i, &missing, &m, &cfg, &mut stats).fails());
+        assert!(satisfies(&i, &good, &m, &cfg, &mut stats).holds());
+        assert!(satisfies(&i, &missing, &m, &cfg, &mut stats).fails());
         assert!(stats.nodes > 0);
         // A zero budget cannot even enumerate the premise: Unknown.
         let tight = HomConfig { node_budget: Some(0), ..HomConfig::default() };
         let mut stats = HomStats::default();
-        let verdict = satisfies_budgeted(&i, &good, &m, &tight, &mut stats);
+        let verdict = satisfies(&i, &good, &m, &tight, &mut stats);
         assert!(verdict.is_unknown(), "got {verdict:?}");
     }
 
@@ -242,7 +215,7 @@ mod tests {
         .unwrap();
         let i = parse_instance(&mut v, "R(a, b)\nR(?n, b)\nR(c, c)").unwrap();
         let j_ok = parse_instance(&mut v, "P(a)").unwrap();
-        assert!(satisfies(&i, &j_ok, &m));
-        assert!(!satisfies(&i, &Instance::new(), &m));
+        assert!(sat(&i, &j_ok, &m));
+        assert!(!sat(&i, &Instance::new(), &m));
     }
 }

@@ -311,6 +311,7 @@ mod tests {
     use crate::semantics::satisfies;
     use crate::Universe;
     use rde_deps::parse_mapping;
+    use rde_hom::{HomConfig, HomStats};
 
     /// Semantic cross-check: (I, K) ⊨ composed ⟺ (I, K) ∈ M12 ∘ M23
     /// on every bounded pair.
@@ -335,7 +336,9 @@ mod tests {
         for i in &sources {
             for k in &targets {
                 let semantic = in_composition(&m12, &m23, i, k, &mut v, &opts).unwrap();
-                let syntactic = satisfies(i, k, &composed);
+                let syntactic =
+                    satisfies(i, k, &composed, &HomConfig::default(), &mut HomStats::default())
+                        .holds();
                 assert_eq!(
                     semantic,
                     syntactic,

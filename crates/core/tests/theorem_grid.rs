@@ -5,14 +5,16 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_core::arrow::ArrowMCache;
+use rde_core::compare::{compare_lossiness, Comparison};
 use rde_core::compose::ComposeOptions;
+use rde_core::extended::is_extended_universal_solution;
 use rde_core::invertibility::check_homomorphism_property;
 use rde_core::loss::information_loss;
 use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
 use rde_core::recovery::check_maximum_extended_recovery;
 use rde_core::Universe;
 use rde_deps::{parse_mapping, printer, SchemaMapping};
-use rde_hom::exists_hom;
+use rde_hom::{exists_hom, HomConfig, HomStats};
 use rde_model::Vocabulary;
 
 /// The mapping families of the grid. `full` marks eligibility for the
@@ -51,7 +53,8 @@ fn corollary_4_15_grid() {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
         let report = information_loss(&m, &u, &mut v, 0).unwrap();
-        let hp = check_homomorphism_property(&m, &u, &mut v).unwrap().holds();
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let hp = check_homomorphism_property(&m, &u, &mut v, &unbounded, stats).unwrap().holds();
         assert_eq!(report.is_lossless_within_bound(), hp, "family {name}");
     }
 }
@@ -65,11 +68,10 @@ fn proposition_3_11_grid() {
         let u = Universe::new(&mut v, 2, 1, 1);
         for i in u.instances(&v, &m.source).unwrap() {
             let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-            assert!(
-                rde_core::extended::is_extended_universal_solution(&i, &chased, &m, &mut v)
-                    .unwrap(),
-                "family {name}, source {i:?}"
-            );
+            let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+            let universal =
+                is_extended_universal_solution(&i, &chased, &m, &mut v, &unbounded, stats);
+            assert!(universal.unwrap().holds(), "family {name}, source {i:?}");
         }
     }
 }
@@ -82,17 +84,19 @@ fn proposition_4_11_grid() {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let cache = ArrowMCache::new(&m, &family, &mut v, &unbounded).unwrap();
+        let arrow = |a: usize, b: usize| cache.arrow(a, b, &unbounded).holds();
         let n = family.len();
         for a in 0..n {
-            assert!(cache.arrow(a, a), "family {name}: reflexivity");
+            assert!(arrow(a, a), "family {name}: reflexivity");
             for b in 0..n {
-                if exists_hom(&family[a], &family[b]) {
-                    assert!(cache.arrow(a, b), "family {name}: → ⊆ →_M");
+                if exists_hom(&family[a], &family[b], &unbounded, stats).holds() {
+                    assert!(arrow(a, b), "family {name}: → ⊆ →_M");
                 }
                 for c in 0..n {
-                    if cache.arrow(a, b) && cache.arrow(b, c) {
-                        assert!(cache.arrow(a, c), "family {name}: transitivity");
+                    if arrow(a, b) && arrow(b, c) {
+                        assert!(arrow(a, c), "family {name}: transitivity");
                     }
                 }
             }
@@ -113,8 +117,10 @@ fn theorem_5_1_grid() {
             .unwrap_or_else(|e| panic!("family {name}: synthesis failed: {e}"));
         assert!(!rec.uses_constant_guards(), "family {name}: Thm 5.1 language");
         let u = Universe::new(&mut v, 1, 1, 2);
+        let (opts, unbounded) = (ComposeOptions::default(), HomConfig::default());
+        let stats = &mut HomStats::default();
         let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
+            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &opts, &unbounded, stats)
                 .unwrap();
         assert!(
             verdict.holds(),
@@ -199,8 +205,9 @@ fn section_6_3_order_is_consistent_with_censuses() {
         let m_less = parse_mapping(&mut v, less_text).unwrap();
         let m_more = parse_mapping(&mut v, more_text).unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let cmp = rde_core::compare::compare_lossiness(&m_less, &m_more, &u, &mut v).unwrap();
-        assert_eq!(cmp, rde_core::compare::Comparison::StrictlyLessLossy, "{less_text}");
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let cmp = compare_lossiness(&m_less, &m_more, &u, &mut v, &unbounded, stats).unwrap();
+        assert_eq!(cmp, Comparison::StrictlyLessLossy, "{less_text}");
         let loss_less = information_loss(&m_less, &u, &mut v, 0).unwrap().lost_pairs;
         let loss_more = information_loss(&m_more, &u, &mut v, 0).unwrap().lost_pairs;
         assert!(loss_less < loss_more, "census order must agree ({loss_less} < {loss_more})");

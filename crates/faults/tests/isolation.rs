@@ -27,6 +27,10 @@ use rde_faults::{ExecContext, FaultConfig, FaultInjector};
 use rde_hom::HomConfig;
 use rde_model::{Instance, Vocabulary};
 
+fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
+    cache.arrow(a, b, &HomConfig::default()).holds()
+}
+
 const MAPPING: &str = "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)";
 
 /// A context that can only misbehave: every injection point fires on
@@ -69,12 +73,15 @@ fn run_engines(ctx: &ExecContext) -> Result<Answers, String> {
     let mut vocab = Vocabulary::new();
     let (mapping, family, universe) = setup(&mut vocab);
 
-    let options = ChaseOptions { ctx: ctx.clone(), ..ChaseOptions::default() };
+    let options = ChaseOptions {
+        hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
+        ..ChaseOptions::default()
+    };
     let chased = rde_chase::chase(&family[1], &mapping.dependencies, &mut vocab, &options)
         .map_err(|e| format!("chase: {e}"))?
         .instance;
 
-    let cache = ArrowMCache::new_budgeted(
+    let cache = ArrowMCache::new(
         &mapping,
         &family,
         &mut vocab,
@@ -82,7 +89,7 @@ fn run_engines(ctx: &ExecContext) -> Result<Answers, String> {
     )
     .map_err(|e| format!("arrow: {e}"))?;
     let n = cache.len();
-    let arrows = (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b)).collect()).collect();
+    let arrows = (0..n).map(|a| (0..n).map(|b| arrow(&cache, a, b)).collect()).collect();
 
     let report: LossReport = information_loss_scoped(&mapping, &universe, &mut vocab, 4, ctx)
         .map_err(|e| format!("loss: {e}"))?;

@@ -34,6 +34,15 @@ use rde_hom::HomConfig;
 use rde_model::{Fact, Instance, Value, Vocabulary};
 use rde_obs::journal::{self, Sink};
 
+/// Unbounded searches under `ctx`'s campaign.
+fn scoped(ctx: &ExecContext) -> HomConfig {
+    HomConfig { ctx: ctx.clone(), ..HomConfig::default() }
+}
+
+fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
+    cache.arrow(a, b, &HomConfig::default()).holds()
+}
+
 /// Seeds per family; 5 families × 24 = 120 injection campaigns.
 const SEEDS: u64 = 24;
 
@@ -100,7 +109,7 @@ fn chase_survives_injected_exhaustion_and_cancellation() {
                 1 << (seed % 11),
                 None,
             )));
-            let options = ChaseOptions { variant, ctx: ctx.clone(), ..ChaseOptions::default() };
+            let options = ChaseOptions { variant, hom: scoped(&ctx), ..ChaseOptions::default() };
             let result = catch_unwind(AssertUnwindSafe(|| {
                 rde_chase::chase(&input, &deps, &mut vocab, &options)
             }));
@@ -151,9 +160,9 @@ fn arrow_cache_matches_clean_reference_under_poisoned_locks() {
     let n = family.len();
     assert!(n >= 4, "universe too small to be interesting");
 
-    let reference = ArrowMCache::new(&mapping, &family, &mut vocab).unwrap();
+    let reference = ArrowMCache::new(&mapping, &family, &mut vocab, &HomConfig::default()).unwrap();
     let expected: Vec<Vec<bool>> =
-        (0..n).map(|a| (0..n).map(|b| reference.arrow(a, b)).collect()).collect();
+        (0..n).map(|a| (0..n).map(|b| arrow(&reference, a, b)).collect()).collect();
 
     let mut total_fired = 0u64;
     for seed in 0..SEEDS {
@@ -165,15 +174,11 @@ fn arrow_cache_matches_clean_reference_under_poisoned_locks() {
             2,
             Some("core.arrow"),
         )));
-        let cache = ArrowMCache::new_budgeted(
-            &mapping,
-            &family,
-            &mut vocab,
-            &HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
-        )
-        .unwrap();
+        let cache = ArrowMCache::new(&mapping, &family, &mut vocab, &scoped(&ctx)).unwrap();
         let answers = catch_unwind(AssertUnwindSafe(|| {
-            (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b)).collect()).collect::<Vec<Vec<bool>>>()
+            (0..n)
+                .map(|a| (0..n).map(|b| arrow(&cache, a, b)).collect())
+                .collect::<Vec<Vec<bool>>>()
         }));
         let report = ctx.fault_report();
         let answers =
@@ -301,7 +306,7 @@ fn disjunctive_chase_survives_injected_branch_cancellation() {
             1 << (seed % 6),
             Some("chase.disj"),
         )));
-        let options = DisjunctiveChaseOptions { ctx: ctx.clone(), ..Default::default() };
+        let options = DisjunctiveChaseOptions { hom: scoped(&ctx), ..Default::default() };
         let result = catch_unwind(AssertUnwindSafe(|| {
             disjunctive_chase(&input, &deps, &mut vocab, &options)
         }))
@@ -363,7 +368,7 @@ fn checkpoint_write_faults_strand_a_tmp_that_startup_sweeps() {
         )));
         let options = ChaseOptions {
             checkpoint: Some(rde_chase::CheckpointPolicy::new(&path, 1)),
-            ctx: ctx.clone(),
+            hom: scoped(&ctx),
             ..ChaseOptions::default()
         };
         let mut v = vocab.clone();
@@ -460,7 +465,7 @@ fn restricted_chase_survives_injected_satisfaction_exhaustion() {
             Some("chase.restricted"),
         )));
         let options = ChaseOptions {
-            ctx: ctx.clone(),
+            hom: scoped(&ctx),
             ..ChaseOptions::for_variant(rde_chase::ChaseVariant::Restricted)
         };
         let mut v = vocab.clone();

@@ -2,47 +2,35 @@
 
 use rde_model::Instance;
 
-use crate::search::{exists_hom, exists_hom_budgeted, find_hom, HomConfig, HomStats};
+use crate::search::{exists_hom, HomConfig, HomStats};
 use crate::verdict::Verdict;
-use rde_model::Substitution;
 
 /// Are `a` and `b` homomorphically equivalent (`a → b` and `b → a`,
 /// Definition 3.1)? This is the paper's notion of "the same instance":
 /// chase-inverses recover the original source only up to this relation
 /// (Definition 3.16), and capturing targets determine sources up to it.
-pub fn hom_equivalent(a: &Instance, b: &Instance) -> bool {
-    exists_hom(a, b) && exists_hom(b, a)
-}
-
-/// Like [`hom_equivalent`] but returns the witnessing pair of
-/// homomorphisms `(a → b, b → a)` when equivalent.
-pub fn hom_equivalent_with(a: &Instance, b: &Instance) -> Option<(Substitution, Substitution)> {
-    let fwd = find_hom(a, b)?;
-    let back = find_hom(b, a)?;
-    Some((fwd, back))
-}
-
-/// Decide homomorphic equivalence under `config`'s budgets (Kleene
-/// conjunction of the two directions), accumulating search work into
-/// `stats`. A definite failure in either direction beats an `Unknown`
-/// in the other.
-pub fn hom_equivalent_budgeted(
+///
+/// Both searches run under `config`'s budgets and combine by Kleene
+/// conjunction, accumulating search work into `stats`: a definite
+/// failure in either direction beats an `Unknown` in the other.
+pub fn hom_equivalent(
     a: &Instance,
     b: &Instance,
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Verdict {
-    let fwd = exists_hom_budgeted(a, b, config, stats);
+    let fwd = exists_hom(a, b, config, stats);
     if fwd.fails() {
         return Verdict::Fails;
     }
-    fwd.and(exists_hom_budgeted(b, a, config, stats))
+    fwd.and(exists_hom(b, a, config, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rde_model::{ConstId, Fact, NullId, RelId, Value};
+    use crate::search::find_hom;
+    use rde_model::{ConstId, Fact, NullId, RelId, Substitution, Value};
 
     fn c(i: u32) -> Value {
         Value::Const(ConstId(i))
@@ -53,19 +41,26 @@ mod tests {
     fn inst(facts: &[(u32, &[Value])]) -> Instance {
         facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
     }
+    fn equivalent(a: &Instance, b: &Instance) -> bool {
+        hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+    fn witness(a: &Instance, b: &Instance) -> Option<Substitution> {
+        find_hom(a, b, &Substitution::new(), &HomConfig::default(), &mut HomStats::default())
+            .expect("an unbounded search completes")
+    }
 
     #[test]
     fn equivalence_is_reflexive() {
         let i = inst(&[(0, &[c(0), n(0)])]);
-        assert!(hom_equivalent(&i, &i));
+        assert!(equivalent(&i, &i));
     }
 
     #[test]
     fn ground_instances_equivalent_iff_equal() {
         let a = inst(&[(0, &[c(0)])]);
         let b = inst(&[(0, &[c(0)]), (0, &[c(1)])]);
-        assert!(!hom_equivalent(&a, &b));
-        assert!(hom_equivalent(&a, &inst(&[(0, &[c(0)])])));
+        assert!(!equivalent(&a, &b));
+        assert!(equivalent(&a, &inst(&[(0, &[c(0)])])));
     }
 
     #[test]
@@ -73,8 +68,8 @@ mod tests {
         // {P(a,b)} ≡ {P(a,b), P(a,X)}: the null fact folds onto the real one.
         let a = inst(&[(0, &[c(0), c(1)])]);
         let b = inst(&[(0, &[c(0), c(1)]), (0, &[c(0), n(0)])]);
-        assert!(hom_equivalent(&a, &b));
-        let (fwd, back) = hom_equivalent_with(&a, &b).unwrap();
+        assert!(equivalent(&a, &b));
+        let (fwd, back) = (witness(&a, &b).unwrap(), witness(&b, &a).unwrap());
         assert_eq!(fwd.apply_instance(&a), a); // a is ground: identity
         assert!(back.apply_instance(&b).is_subset_of(&a));
     }
@@ -83,7 +78,7 @@ mod tests {
     fn renamed_nulls_are_equivalent() {
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(7), n(8)])]);
-        assert!(hom_equivalent(&a, &b));
+        assert!(equivalent(&a, &b));
     }
 
     #[test]
@@ -91,10 +86,9 @@ mod tests {
         // {P(X,X)} → {P(a,a)} but not conversely.
         let a = inst(&[(0, &[n(0), n(0)])]);
         let b = inst(&[(0, &[c(0), c(0)])]);
-        assert!(exists_hom(&a, &b));
-        assert!(!exists_hom(&b, &a));
-        assert!(!hom_equivalent(&a, &b));
-        assert!(hom_equivalent_with(&a, &b).is_none());
+        assert!(witness(&a, &b).is_some());
+        assert!(witness(&b, &a).is_none());
+        assert!(!equivalent(&a, &b));
     }
 
     #[test]
@@ -102,18 +96,18 @@ mod tests {
         let a = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(0)])]);
         let b = inst(&[(0, &[n(7), n(9)]), (0, &[n(9), n(7)])]);
         let mut stats = HomStats::default();
-        let v = hom_equivalent_budgeted(&a, &b, &HomConfig::default(), &mut stats);
+        let v = hom_equivalent(&a, &b, &HomConfig::default(), &mut stats);
         assert!(v.holds());
         assert!(stats.nodes > 0, "both directions are accounted");
         let cfg = HomConfig { node_budget: Some(0), ..HomConfig::default() };
         let mut stats = HomStats::default();
-        assert!(hom_equivalent_budgeted(&a, &b, &cfg, &mut stats).is_unknown());
+        assert!(hom_equivalent(&a, &b, &cfg, &mut stats).is_unknown());
         // A definite directional failure is reported even under a budget
         // too small to decide the other direction.
         let asym_a = inst(&[(0, &[n(0), n(0)])]);
         let asym_b = inst(&[(0, &[c(0), c(1)])]);
         let mut stats = HomStats::default();
-        let v = hom_equivalent_budgeted(&asym_a, &asym_b, &HomConfig::default(), &mut stats);
+        let v = hom_equivalent(&asym_a, &asym_b, &HomConfig::default(), &mut stats);
         assert!(v.fails());
     }
 }

@@ -98,7 +98,8 @@ mod tests {
         // {P(a,a)} vs {P(a,a), P(a,X)}: hom-equivalent, different sizes.
         let a = inst(&[(0, &[c(0), c(0)])]);
         let b = inst(&[(0, &[c(0), c(0)]), (0, &[c(0), n(0)])]);
-        assert!(crate::hom_equivalent(&a, &b));
+        let stats = &mut crate::HomStats::default();
+        assert!(crate::hom_equivalent(&a, &b, &HomConfig::default(), stats).holds());
         assert!(!is_isomorphic(&a, &b));
     }
 
@@ -107,7 +108,8 @@ mod tests {
         // Same size, but the only homs fold two nulls together.
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(5), n(5)])]);
-        assert!(crate::exists_hom(&a, &b));
+        let stats = &mut crate::HomStats::default();
+        assert!(crate::exists_hom(&a, &b, &HomConfig::default(), stats).holds());
         assert!(!is_isomorphic(&a, &b));
         // And in the other direction the hom is injective but not onto
         // the two distinct-null positions... sizes match, domains don't.

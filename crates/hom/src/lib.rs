@@ -19,11 +19,10 @@
 //! * node and wall-clock budgets for callers that need interruptible
 //!   search — exhaustion is a completion *status* on the returned
 //!   [`SearchReport`], folded into a three-valued [`Verdict`]
-//!   (`Holds` / `Fails` / `Unknown`) by the budgeted deciders, never a
-//!   panic.
+//!   (`Holds` / `Fails` / `Unknown`) by the deciders, never a panic.
 //!
-//! Both optimizations can be disabled through [`HomConfig`] — the
-//! ablation benchmarks measure exactly that gap.
+//! Each decider has one signature taking a [`HomConfig`]; an unbounded
+//! call passes `HomConfig::default()` explicitly.
 //!
 //! On top of the search the crate provides homomorphic equivalence and
 //! the **core** (minimum retract) of an instance, which canonicalizes
@@ -42,11 +41,10 @@ mod verdict;
 pub use core_min::{
     core_of, core_of_budgeted, core_of_quadratic, is_core, CoreOutcome, CoreResult,
 };
-pub use equivalence::{hom_equivalent, hom_equivalent_budgeted, hom_equivalent_with};
+pub use equivalence::hom_equivalent;
 pub use iso::{find_iso, is_isomorphic};
 pub use search::{
-    count_homs, exists_hom, exists_hom_budgeted, find_hom, find_hom_budgeted, find_hom_seeded,
-    for_each_hom, instance_pattern, CompiledPattern, HomConfig, HomStats, PatArg, PatternAtom,
-    SearchReport,
+    count_homs, exists_hom, find_hom, for_each_hom, instance_pattern, CompiledPattern, HomConfig,
+    HomStats, PatArg, PatternAtom, SearchReport,
 };
 pub use verdict::{Exhausted, Verdict};

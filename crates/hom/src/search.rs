@@ -9,12 +9,11 @@
 //!
 //! Every search runs under [`HomConfig`]'s (optional) node and
 //! wall-clock budgets. Exhausting a budget is not an error: it is a
-//! completion status on the returned [`SearchReport`], and the budgeted
-//! deciders ([`exists_hom_budgeted`], [`find_hom_budgeted`]) fold it
-//! into a three-valued [`Verdict`]. The unbounded wrappers
-//! ([`exists_hom`], [`find_hom`], [`count_homs`]) stay infallible by
-//! construction — an unbounded search has no budget to exhaust, so
-//! there is no panic path to pretend-handle.
+//! completion status on the returned [`SearchReport`], and the
+//! deciders ([`exists_hom`], [`find_hom`]) fold it into a three-valued
+//! [`Verdict`] (or an `Err(Exhausted)`). There is one signature per
+//! decider: an unbounded search is written `HomConfig::default()` at
+//! the call site, on purpose.
 
 use std::time::{Duration, Instant};
 
@@ -30,9 +29,9 @@ use crate::verdict::{Exhausted, Verdict};
 /// granularity of `TIME_CHECK_STRIDE` nodes.
 const TIME_CHECK_STRIDE: u64 = 256;
 
-/// Search configuration. The default is complete (no budgets) and fully
-/// optimized; the two flags exist for the ablation benchmarks.
-#[derive(Debug, Clone)]
+/// Search configuration. The default is complete: no budgets and an
+/// inert context.
+#[derive(Debug, Clone, Default)]
 pub struct HomConfig {
     /// Node budget: the maximum number of candidate-tuple unification
     /// attempts. `None` = run to completion.
@@ -49,34 +48,16 @@ pub struct HomConfig {
     /// semantics cannot drift as budgets thread through chase and core.
     pub node_budget: Option<u64>,
     /// Wall-clock budget for one search. `None` = no deadline. Checked
-    /// every [`TIME_CHECK_STRIDE`] nodes, so very short searches may
+    /// every `TIME_CHECK_STRIDE` (256) nodes, so very short searches may
     /// finish before the first check.
     pub time_budget: Option<Duration>,
-    /// Use per-column posting lists to enumerate candidate tuples
-    /// (`false` = scan the whole target relation per fact).
-    pub use_index: bool,
-    /// Dynamically pick the next source fact with the fewest candidates
-    /// (`false` = fixed left-to-right order).
-    pub dynamic_order: bool,
     /// Scoped execution context: its cancel token is polled at search
-    /// entry and then every [`TIME_CHECK_STRIDE`] nodes alongside the
+    /// entry and then every `TIME_CHECK_STRIDE` (256) nodes alongside the
     /// deadline check (a cancelled search reports
     /// [`Exhausted::Cancelled`]), and its fault injector drives the
     /// `hom.search.exhaust` injection point. The default context is
     /// inert and costs one pointer-sized check per poll.
     pub ctx: ExecContext,
-}
-
-impl Default for HomConfig {
-    fn default() -> Self {
-        HomConfig {
-            node_budget: None,
-            time_budget: None,
-            use_index: true,
-            dynamic_order: true,
-            ctx: ExecContext::default(),
-        }
-    }
 }
 
 /// Search counters, reported by [`for_each_hom`].
@@ -90,19 +71,13 @@ pub struct HomStats {
     pub found: u64,
 }
 
-impl HomStats {
-    /// Accumulate another search's counters (used by the chase and the
-    /// core checkers to aggregate per-top-level-check totals).
-    pub fn merge(&mut self, other: HomStats) {
+/// Accumulate another search's counters (the chase and the checkers
+/// aggregate per-top-level-check totals this way).
+impl std::ops::AddAssign for HomStats {
+    fn add_assign(&mut self, other: HomStats) {
         self.nodes += other.nodes;
         self.backtracks += other.backtracks;
         self.found += other.found;
-    }
-}
-
-impl std::ops::AddAssign for HomStats {
-    fn add_assign(&mut self, other: HomStats) {
-        self.merge(other);
     }
 }
 
@@ -117,13 +92,6 @@ pub struct SearchReport {
     /// search ran to completion (or was stopped by the callback, which
     /// is a *caller* decision, not a budget one).
     pub exhausted: Option<Exhausted>,
-}
-
-impl SearchReport {
-    /// Did the search run to completion (no budget cut)?
-    pub fn complete(&self) -> bool {
-        self.exhausted.is_none()
-    }
 }
 
 /// One argument of a pattern atom: already-fixed value or variable slot.
@@ -189,23 +157,13 @@ impl CompiledPattern {
     /// (`seed[v]` pre-binds slot `v`; missing/`None` entries are free).
     /// The callback sees the full slot assignment and returns `false`
     /// to stop. Returns the search report (stats + completion status).
+    ///
+    /// Atom `skip` (if any) is taken as already matched: the search
+    /// covers only the remaining atoms. The caller must have seeded
+    /// every variable of the skipped atom — this is the semi-naive
+    /// chase's delta seeding, where one atom is unified with a delta
+    /// fact and the rest are matched against the full instance.
     pub fn for_each_match(
-        &self,
-        target: &Instance,
-        seed: &[Option<Value>],
-        config: &HomConfig,
-        on_found: impl FnMut(&[Option<Value>]) -> bool,
-    ) -> SearchReport {
-        self.for_each_match_excluding(None, target, seed, config, on_found)
-    }
-
-    /// Like [`Self::for_each_match`], but atom `skip` (if any) is taken
-    /// as already matched: the search covers only the remaining atoms.
-    /// The caller must have seeded every variable of the skipped atom —
-    /// this is the semi-naive chase's delta seeding, where one atom is
-    /// unified with a delta fact and the rest are matched against the
-    /// full instance.
-    pub fn for_each_match_excluding(
         &self,
         skip: Option<usize>,
         target: &Instance,
@@ -378,9 +336,6 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
         if remaining.is_empty() {
             return None;
         }
-        if !self.config.dynamic_order {
-            return Some(remaining.len() - 1);
-        }
         let mut best_slot = 0;
         let mut best_cost = u64::MAX;
         for (slot, &fi) in remaining.iter().enumerate() {
@@ -430,22 +385,20 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
     fn candidate_rows(&self, fact_idx: usize) -> Rows {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
-        if self.config.use_index {
-            let mut best: Option<&[u32]> = None;
-            for (col, arg) in args.iter().enumerate() {
-                if let Some(v) = self.arg_value(*arg) {
-                    let rows = data.rows_with(col, &v);
-                    if best.is_none_or(|b| rows.len() < b.len()) {
-                        best = Some(rows);
-                    }
+        let mut best: Option<&[u32]> = None;
+        for (col, arg) in args.iter().enumerate() {
+            if let Some(v) = self.arg_value(*arg) {
+                let rows = data.rows_with(col, &v);
+                if best.is_none_or(|b| rows.len() < b.len()) {
+                    best = Some(rows);
                 }
             }
-            if let Some(rows) = best {
-                return Rows::Some(rows.to_vec());
-            }
         }
-        // No bound column (or indexes disabled): scan the relation.
-        Rows::All(data.len())
+        match best {
+            Some(rows) => Rows::Some(rows.to_vec()),
+            // No bound column: scan the relation.
+            None => Rows::All(data.len()),
+        }
     }
 
     /// Check one pattern argument against one target value, binding a
@@ -544,7 +497,7 @@ pub fn for_each_hom(
         "hom.search",
         &[("source_facts", source.len().into()), ("vars", var_nulls.len().into())],
     );
-    let report = pattern.for_each_match(target, &vals, config, |assignment| {
+    let report = pattern.for_each_match(None, target, &vals, config, |assignment| {
         let sub: Substitution = var_nulls
             .iter()
             .zip(assignment)
@@ -556,57 +509,34 @@ pub fn for_each_hom(
         ("nodes", report.stats.nodes.into()),
         ("backtracks", report.stats.backtracks.into()),
         ("found", report.stats.found.into()),
-        ("complete", report.complete().into()),
+        ("complete", report.exhausted.is_none().into()),
     ]);
     report
 }
 
-/// Find one homomorphism `source → target`, if any (complete search).
-pub fn find_hom(source: &Instance, target: &Instance) -> Option<Substitution> {
-    find_hom_seeded(source, target, &Substitution::new())
-}
-
-/// Find one homomorphism extending `seed`, if any (complete search).
-pub fn find_hom_seeded(
-    source: &Instance,
-    target: &Instance,
-    seed: &Substitution,
-) -> Option<Substitution> {
-    let mut result = None;
-    for_each_hom(source, target, seed, &HomConfig::default(), |sub| {
-        result = Some(sub.clone());
-        false
-    });
-    result
-}
-
-/// Decide `source → target` (Definition 3.1's relation).
-pub fn exists_hom(source: &Instance, target: &Instance) -> bool {
-    find_hom(source, target).is_some()
-}
-
-/// Decide `source → target` under `config`'s budgets, accumulating the
-/// search work into `stats`. Returns [`Verdict::Unknown`] when a budget
-/// ran out before a witness was found or the space was exhausted.
-pub fn exists_hom_budgeted(
+/// Decide `source → target` (Definition 3.1's relation) under
+/// `config`'s budgets, accumulating the search work into `stats`.
+/// Returns [`Verdict::Unknown`] when a budget ran out before a witness
+/// was found or the space was exhausted.
+pub fn exists_hom(
     source: &Instance,
     target: &Instance,
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Verdict {
-    match find_hom_budgeted(source, target, &Substitution::new(), config, stats) {
+    match find_hom(source, target, &Substitution::new(), config, stats) {
         Ok(Some(_)) => Verdict::Holds,
         Ok(None) => Verdict::Fails,
         Err(budget) => Verdict::Unknown { budget },
     }
 }
 
-/// Find one homomorphism extending `seed` under `config`'s budgets,
-/// accumulating the search work into `stats`.
+/// Find one homomorphism `source → target` extending `seed` under
+/// `config`'s budgets, accumulating the search work into `stats`.
 ///
 /// `Ok(Some(h))` — a witness; `Ok(None)` — a complete refutation;
 /// `Err(budget)` — the budget ran out before either.
-pub fn find_hom_budgeted(
+pub fn find_hom(
     source: &Instance,
     target: &Instance,
     seed: &Substitution,
@@ -618,7 +548,7 @@ pub fn find_hom_budgeted(
         result = Some(sub.clone());
         false
     });
-    stats.merge(report.stats);
+    *stats += report.stats;
     match (result, report.exhausted) {
         (Some(h), _) => Ok(Some(h)),
         (None, None) => Ok(None),
@@ -648,35 +578,42 @@ mod tests {
     fn inst(facts: &[(u32, &[Value])]) -> Instance {
         facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
     }
+    fn maps(source: &Instance, target: &Instance) -> bool {
+        exists_hom(source, target, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+    fn witness(source: &Instance, target: &Instance, seed: &Substitution) -> Option<Substitution> {
+        find_hom(source, target, seed, &HomConfig::default(), &mut HomStats::default())
+            .expect("an unbounded search completes")
+    }
 
     #[test]
     fn empty_source_maps_anywhere() {
         let empty = Instance::new();
         let target = inst(&[(0, &[c(0)])]);
-        assert!(exists_hom(&empty, &target));
-        assert!(exists_hom(&empty, &empty));
+        assert!(maps(&empty, &target));
+        assert!(maps(&empty, &empty));
     }
 
     #[test]
     fn nonempty_source_needs_matching_relation() {
         let source = inst(&[(0, &[n(0)])]);
         let target = inst(&[(1, &[c(0)])]);
-        assert!(!exists_hom(&source, &target));
+        assert!(!maps(&source, &target));
     }
 
     #[test]
     fn constants_are_fixed() {
         let source = inst(&[(0, &[c(0)])]);
         let target = inst(&[(0, &[c(1)])]);
-        assert!(!exists_hom(&source, &target));
-        assert!(exists_hom(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
+        assert!(!maps(&source, &target));
+        assert!(maps(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
     }
 
     #[test]
     fn nulls_map_to_constants_or_nulls() {
         let source = inst(&[(0, &[n(0), n(1)])]);
         let target = inst(&[(0, &[c(0), n(5)])]);
-        let h = find_hom(&source, &target).unwrap();
+        let h = witness(&source, &target, &Substitution::new()).unwrap();
         assert_eq!(h.apply(n(0)), c(0));
         assert_eq!(h.apply(n(1)), n(5));
     }
@@ -685,8 +622,8 @@ mod tests {
     fn shared_nulls_must_agree() {
         // P(x, x) cannot map into P(a, b).
         let source = inst(&[(0, &[n(0), n(0)])]);
-        assert!(!exists_hom(&source, &inst(&[(0, &[c(0), c(1)])])));
-        assert!(exists_hom(&source, &inst(&[(0, &[c(0), c(0)])])));
+        assert!(!maps(&source, &inst(&[(0, &[c(0), c(1)])])));
+        assert!(maps(&source, &inst(&[(0, &[c(0), c(0)])])));
     }
 
     #[test]
@@ -694,13 +631,13 @@ mod tests {
         // Path of nulls x→y→z maps onto edge a→b by folding.
         let source = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(2)])]);
         let target = inst(&[(0, &[c(0), c(1)]), (0, &[c(1), c(0)])]);
-        assert!(exists_hom(&source, &target));
+        assert!(maps(&source, &target));
         // ...but not into a single non-loop edge.
         let single = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!exists_hom(&source, &single));
+        assert!(!maps(&source, &single));
         // A loop absorbs everything.
         let loop_ = inst(&[(0, &[c(0), c(0)])]);
-        assert!(exists_hom(&source, &loop_));
+        assert!(maps(&source, &loop_));
     }
 
     #[test]
@@ -708,10 +645,10 @@ mod tests {
         // For ground I₁: I₁ → I₂ iff I₁ ⊆ I₂ (paper, Section 1).
         let i1 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)])]);
         let i2 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)]), (1, &[c(3)])]);
-        assert!(exists_hom(&i1, &i2));
+        assert!(maps(&i1, &i2));
         assert!(i1.is_subset_of(&i2));
         let i3 = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!exists_hom(&i1, &i3));
+        assert!(!maps(&i1, &i3));
         assert!(!i1.is_subset_of(&i3));
     }
 
@@ -720,9 +657,9 @@ mod tests {
         // P(x), Q(x) needs a value in both unary relations.
         let source = inst(&[(0, &[n(0)]), (1, &[n(0)])]);
         let t1 = inst(&[(0, &[c(0)]), (1, &[c(1)])]);
-        assert!(!exists_hom(&source, &t1));
+        assert!(!maps(&source, &t1));
         let t2 = inst(&[(0, &[c(0)]), (1, &[c(0)])]);
-        assert!(exists_hom(&source, &t2));
+        assert!(maps(&source, &t2));
     }
 
     #[test]
@@ -731,10 +668,10 @@ mod tests {
         let target = inst(&[(0, &[c(0)]), (0, &[c(1)])]);
         let mut seed = Substitution::new();
         seed.bind(NullId(0), c(1));
-        let h = find_hom_seeded(&source, &target, &seed).unwrap();
+        let h = witness(&source, &target, &seed).unwrap();
         assert_eq!(h.apply(n(0)), c(1));
         seed.bind(NullId(0), c(7)); // not in target
-        assert!(find_hom_seeded(&source, &target, &seed).is_none());
+        assert!(witness(&source, &target, &seed).is_none());
     }
 
     #[test]
@@ -742,8 +679,8 @@ mod tests {
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(2), c(0)])]);
         let c_ = inst(&[(0, &[c(1), c(0)])]);
-        let h1 = find_hom(&a, &b).unwrap();
-        let h2 = find_hom(&b, &c_).unwrap();
+        let h1 = witness(&a, &b, &Substitution::new()).unwrap();
+        let h2 = witness(&b, &c_, &Substitution::new()).unwrap();
         let composed = h1.then(&h2);
         assert_eq!(composed.apply_instance(&a), c_);
     }
@@ -770,13 +707,13 @@ mod tests {
         let cfg = HomConfig { node_budget: Some(0), ..HomConfig::default() };
         let report = for_each_hom(&source, &target, &Substitution::new(), &cfg, |_| true);
         assert_eq!(report.exhausted, Some(Exhausted::Nodes(0)));
-        assert!(!report.complete());
+        assert!(report.exhausted.is_some());
         let mut stats = HomStats::default();
-        let verdict = exists_hom_budgeted(&source, &target, &cfg, &mut stats);
+        let verdict = exists_hom(&source, &target, &cfg, &mut stats);
         assert_eq!(verdict, Verdict::Unknown { budget: Exhausted::Nodes(0) });
         // The unbounded decision is definite.
         let mut stats = HomStats::default();
-        let v = exists_hom_budgeted(&source, &target, &HomConfig::default(), &mut stats);
+        let v = exists_hom(&source, &target, &HomConfig::default(), &mut stats);
         assert_eq!(v, Verdict::Fails);
         assert!(stats.nodes > 0);
     }
@@ -818,7 +755,7 @@ mod tests {
         let cfg_exact = HomConfig { node_budget: Some(need), ..HomConfig::default() };
         let (hit, report) = find_first(&cfg_exact);
         assert!(hit);
-        assert!(report.complete());
+        assert!(report.exhausted.is_none());
         assert_eq!(report.stats.nodes, need);
 
         // budget = need - 1: cut on the final attempt.
@@ -852,27 +789,9 @@ mod tests {
         let target: Instance = target.into_iter().collect();
         let cfg = HomConfig { time_budget: Some(Duration::ZERO), ..HomConfig::default() };
         let mut stats = HomStats::default();
-        let verdict = exists_hom_budgeted(&source, &target, &cfg, &mut stats);
+        let verdict = exists_hom(&source, &target, &cfg, &mut stats);
         assert!(matches!(verdict, Verdict::Unknown { budget: Exhausted::Time(_) }));
         assert!(stats.nodes >= TIME_CHECK_STRIDE, "cut at the first deadline poll");
-    }
-
-    #[test]
-    fn naive_config_agrees_with_optimized() {
-        // Same decision with all optimizations off.
-        let source = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(2)]), (1, &[n(2)])]);
-        let yes = inst(&[(0, &[c(0), c(1)]), (0, &[c(1), c(2)]), (1, &[c(2)])]);
-        let no = inst(&[(0, &[c(0), c(1)]), (1, &[c(0)])]);
-        let naive = HomConfig { use_index: false, dynamic_order: false, ..HomConfig::default() };
-        for (target, expected) in [(&yes, true), (&no, false)] {
-            let mut found = false;
-            let report = for_each_hom(&source, target, &Substitution::new(), &naive, |_| {
-                found = true;
-                false
-            });
-            assert!(report.complete());
-            assert_eq!(found, expected);
-        }
     }
 
     #[test]
@@ -883,7 +802,7 @@ mod tests {
             for_each_hom(&source, &target, &Substitution::new(), &HomConfig::default(), |_| true);
         assert_eq!(report.stats.found, 2);
         assert!(report.stats.nodes >= 2);
-        assert!(report.complete());
+        assert!(report.exhausted.is_none());
     }
 
     #[test]

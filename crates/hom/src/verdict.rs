@@ -113,6 +113,19 @@ mod tests {
         assert_eq!(Verdict::Fails.to_string(), "fails");
     }
 
+    /// `and` is exactly the AND truth table of SQL's three-valued logic
+    /// (TRUE, FALSE, UNKNOWN), in both argument orders.
+    #[test]
+    fn kleene_and_matches_the_three_valued_truth_table() {
+        let u = Verdict::Unknown { budget: Exhausted::Cancelled };
+        let (t, f) = (Verdict::Holds, Verdict::Fails);
+        let table = [(t, t, t), (t, f, f), (t, u, u), (f, f, f), (f, u, f), (u, u, u)];
+        for (a, b, want) in table {
+            assert_eq!(a.and(b), want, "{a} AND {b}");
+            assert_eq!(b.and(a), want, "{b} AND {a}");
+        }
+    }
+
     #[test]
     fn kleene_conjunction() {
         let u = Verdict::Unknown { budget: Exhausted::Nodes(1) };

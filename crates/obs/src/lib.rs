@@ -7,7 +7,7 @@
 //!
 //! Three cooperating pieces:
 //!
-//! * [`span`] — RAII spans over thread-local span stacks with monotonic
+//! * [`span`](mod@span) — RAII spans over thread-local span stacks with monotonic
 //!   timestamps. A span emits `span_open`/`span_close` journal records;
 //!   parentage is the enclosing span on the same thread. The whole
 //!   tracing side compiles out behind the `trace` cargo feature: with

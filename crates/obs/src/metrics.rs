@@ -4,7 +4,7 @@
 //! Registration (by name, `crate.subsystem.event` convention) takes a
 //! registry lock once; the returned handle is `&'static` and every
 //! subsequent update is a relaxed atomic operation — safe and cheap to
-//! call from parallel chase workers. The [`counter!`]/[`histogram!`]
+//! call from parallel chase workers. The [`counter!`](macro@crate::counter)/[`histogram!`](macro@crate::histogram)
 //! macros cache the handle per call site in a `OnceLock`, so hot loops
 //! never touch the registry lock.
 //!
@@ -299,7 +299,7 @@ fn labeled_metric(name: &'static str, labels: &[(&str, &str)], make: fn() -> Met
 /// label set `labels`. Label order does not matter; the canonical
 /// sorted form identifies the series. Takes the labeled-registry lock
 /// on every call — fine for per-request bookkeeping, wrong for inner
-/// loops (use the unlabeled [`counter!`] there).
+/// loops (use the unlabeled [`counter!`](macro@crate::counter) there).
 ///
 /// Panics if the series is already registered with another type.
 pub fn labeled_counter(name: &'static str, labels: &[(&str, &str)]) -> &'static Counter {

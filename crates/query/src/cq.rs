@@ -1,8 +1,9 @@
 //! Conjunctive queries.
 
-use rde_chase::matching::for_each_premise_match;
-use rde_deps::{parse_dependency, Atom, DepError, Dependency, Term};
-use rde_model::{Instance, Value, Vocabulary};
+use rde_chase::{FiringTemplate, PremisePlan};
+use rde_deps::{parse_dependency, Atom, DepError, Dependency};
+use rde_hom::HomConfig;
+use rde_model::{Instance, Vocabulary};
 
 use crate::answers::AnswerSet;
 
@@ -102,19 +103,18 @@ impl ConjunctiveQuery {
 /// Evaluate `q(I)`: all head-atom instantiations under matches of the
 /// body into `I`. Answers may contain nulls; use [`evaluate_null_free`]
 /// for `q(I)↓`.
+///
+/// The body compiles to a [`PremisePlan`] and the head to a
+/// [`FiringTemplate`] (a safe head has no existentials), so evaluation
+/// runs on the chase's matcher. Unbounded.
 pub fn evaluate(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
+    let body = PremisePlan::compile(&q.dep.premise);
+    let head = FiringTemplate::compile(&body, &q.dep.disjuncts[0]);
     let mut out = AnswerSet::new();
-    let head = q.head();
-    for_each_premise_match(&q.dep.premise, instance, |assignment| {
-        let tuple: Vec<Value> = head
-            .args
-            .iter()
-            .map(|t| match *t {
-                Term::Var(v) => assignment[&v],
-                Term::Const(c) => Value::Const(c),
-            })
-            .collect();
-        out.insert(tuple);
+    body.for_each_match(instance, &HomConfig::default(), |vals| {
+        head.instantiate(vals, &[], |fact| {
+            out.insert(fact.args().to_vec());
+        });
         true
     });
     out

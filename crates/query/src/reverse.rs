@@ -51,10 +51,10 @@ pub fn reverse_certain_answers(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
-    // The forward chase runs under the caller's context too, so a
-    // cancel, deadline or injected fault cuts it, not just the
-    // disjunctive phase.
-    let forward = ChaseOptions { ctx: options.ctx.clone(), ..ChaseOptions::default() };
+    // The forward chase runs under the caller's budgets and context
+    // too, so a cancel, deadline, budget or injected fault cuts it, not
+    // just the disjunctive phase.
+    let forward = ChaseOptions { hom: options.hom.clone(), ..ChaseOptions::default() };
     let u = chase_mapping(source, mapping, vocab, &forward)?;
     reverse_certain_answers_from_target(q, &u, mapping, recovery, vocab, options)
 }
@@ -79,6 +79,7 @@ pub fn reverse_certain_answers_from_target(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
+    use rde_hom::HomConfig;
     use rde_model::parse::parse_instance;
 
     /// Example 3.18's extended-invertible mapping: reverse certain
@@ -131,7 +132,10 @@ mod tests {
         let q = ConjunctiveQuery::parse(&mut v, "q(x) :- E(x, y)").unwrap();
         let ctx = rde_faults::ExecContext::cancellable();
         ctx.cancel.cancel();
-        let options = DisjunctiveChaseOptions { ctx, ..DisjunctiveChaseOptions::default() };
+        let options = DisjunctiveChaseOptions {
+            hom: rde_hom::HomConfig { ctx, ..HomConfig::default() },
+            ..DisjunctiveChaseOptions::default()
+        };
         let err = reverse_certain_answers(&q, &i, &m, &minv, &mut v, &options).unwrap_err();
         assert_eq!(err, ChaseError::Cancelled);
     }

@@ -12,7 +12,7 @@
 //! Each request gets its **own** `ExecContext`: a fresh cancel token
 //! (armed with the request's `deadline-ms` header, watching the
 //! process interrupt flag) and the budgets from its headers. The
-//! shared [`ArrowMCache`] never sees another request's token, so one
+//! shared [`ArrowMCache`](rde_core::arrow::ArrowMCache) never sees another request's token, so one
 //! cancelled request cannot bleed into a neighbour — the cache only
 //! memoizes definite verdicts.
 //!
@@ -696,7 +696,6 @@ fn request_config(request: &Request) -> Result<HomConfig, String> {
         node_budget: request.u64_header("node-budget")?,
         time_budget: request.u64_header("time-budget-ms")?.map(Duration::from_millis),
         ctx: ExecContext::default().with_cancel(token.watching_interrupt()),
-        ..HomConfig::default()
     })
 }
 
@@ -916,8 +915,7 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
-    let mut options =
-        ChaseOptions { hom: config.clone(), ctx: config.ctx.clone(), ..ChaseOptions::default() };
+    let mut options = ChaseOptions { hom: config.clone(), ..ChaseOptions::default() };
     if let Some(text) = request.get_header("variant") {
         match text.parse::<rde_chase::ChaseVariant>() {
             Ok(variant) => options.variant = variant,
@@ -993,7 +991,7 @@ fn op_arrow(
             }
         }
     }
-    let (verdict, hit) = warm.cache.arrow_classes_probed(&handles[0], &handles[1], config);
+    let (verdict, hit) = warm.cache.arrow_classes(&handles[0], &handles[1], config);
     access.cache = Some(hit);
     match verdict {
         Verdict::Holds => Reply::Ok(vec!["YES".to_owned()]),
@@ -1025,7 +1023,7 @@ fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Re
         Err(e) => return Reply::Err(format!("query: {e}")),
     };
     let options =
-        DisjunctiveChaseOptions { ctx: config.ctx.clone(), ..DisjunctiveChaseOptions::default() };
+        DisjunctiveChaseOptions { hom: config.clone(), ..DisjunctiveChaseOptions::default() };
     match rde_query::reverse_certain_answers(
         &q,
         &instance,

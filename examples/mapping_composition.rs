@@ -61,6 +61,8 @@ fn main() {
         &universe,
         &mut vocab,
         &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds(), "recovery must verify: {verdict:?}");
@@ -88,7 +90,7 @@ fn main() {
         let world = leaf.restrict_to(&m13.source);
         // Every recovered world is a sound approximation of v1.
         assert!(
-            exists_hom(&world, &v1)
+            exists_hom(&world, &v1, &HomConfig::default(), &mut HomStats::default()).holds()
                 || reverse_data_exchange::core::arrow::arrow_m(&m13, &world, &v1, &mut vocab)
                     .unwrap()
         );
@@ -96,7 +98,7 @@ fn main() {
     let first = leaves[0].restrict_to(&m13.source);
     println!("one recovered world:\n{}", display::instance(&vocab, &first));
     assert!(
-        hom_equivalent(&first, &v1),
+        hom_equivalent(&first, &v1, &HomConfig::default(), &mut HomStats::default()).holds(),
         "this evolution is lossless: recovery is exact up to hom-equivalence"
     );
     println!("roundtrip: v1 recovered up to homomorphic equivalence ✓");

@@ -55,9 +55,12 @@ fn main() {
     assert!(!v.is_ground(), "reverse exchange produces labeled nulls (the paper's point)");
 
     // The recovered instance is a sound approximation: V → I.
-    assert!(exists_hom(&v, &source), "V maps homomorphically into the original source");
+    assert!(
+        exists_hom(&v, &source, &HomConfig::default(), &mut HomStats::default()).holds(),
+        "V maps homomorphically into the original source"
+    );
     // It is not equivalent — the decomposition lost the join.
-    assert!(!hom_equivalent(&v, &source));
+    assert!(!hom_equivalent(&v, &source, &HomConfig::default(), &mut HomStats::default()).holds());
 
     // The disjunctive-chase view (trivial here: no disjunctions, 1 leaf).
     let leaves = disjunctive_chase(
@@ -79,6 +82,8 @@ fn main() {
         &universe,
         &mut vocab,
         &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .expect("check runs");
     assert!(verdict.holds(), "M' is a maximum extended recovery: {verdict:?}");

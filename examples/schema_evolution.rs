@@ -66,7 +66,7 @@ fn main() {
     .unwrap();
     let v2_recovered = roundtrip(&m23, &m32, &v2, &mut vocab).unwrap();
     assert!(
-        hom_equivalent(&v2, &v2_recovered),
+        hom_equivalent(&v2, &v2_recovered, &HomConfig::default(), &mut HomStats::default()).holds(),
         "hop-2 roundtrip recovers v2 up to homomorphic equivalence"
     );
     println!("hop-2 roundtrip: v2 recovered up to hom-equivalence ✓");
@@ -83,8 +83,9 @@ fn main() {
     println!("v1 recovered from v2:\n{}", display::instance(&vocab, &v1_recovered));
     // The decomposition loses the name↔price join: recovery is sound
     // (maps into the original) but not equivalent.
-    assert!(exists_hom(&v1_recovered, &v1));
-    assert!(!hom_equivalent(&v1_recovered, &v1));
+    assert!(exists_hom(&v1_recovered, &v1, &HomConfig::default(), &mut HomStats::default()).holds());
+    assert!(!hom_equivalent(&v1_recovered, &v1, &HomConfig::default(), &mut HomStats::default())
+        .holds());
     println!("hop-1 recovery is sound but lossy (the id-join was split) — as the theory predicts");
 
     // Full two-hop recovery: start from v3 only and walk back to v1.
@@ -97,5 +98,8 @@ fn main() {
         .instance
         .restrict_to(&m21.target);
     println!("v1 recovered across both hops:\n{}", display::instance(&vocab, &back_to_v1));
-    assert!(exists_hom(&back_to_v1, &v1), "two-hop recovery is still sound");
+    assert!(
+        exists_hom(&back_to_v1, &v1, &HomConfig::default(), &mut HomStats::default()).holds(),
+        "two-hop recovery is still sound"
+    );
 }

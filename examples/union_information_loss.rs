@@ -41,7 +41,15 @@ fn main() {
 
     // 1. Not extended-invertible — the checker produces the witness.
     let universe = Universe::new(&mut vocab, 1, 1, 2);
-    match check_homomorphism_property(&union, &universe, &mut vocab).unwrap() {
+    match check_homomorphism_property(
+        &union,
+        &universe,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default(),
+    )
+    .unwrap()
+    {
         BoundedVerdict::Counterexample { i1, i2 } => {
             println!(
                 "not extended-invertible: {} →_M {} but no homomorphism",
@@ -73,6 +81,8 @@ fn main() {
         &universe,
         &mut vocab,
         &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds(), "synthesized recovery must verify: {verdict:?}");
@@ -86,7 +96,15 @@ fn main() {
          Supplier(x) -> Contacts(x) & IsSupp(x)",
     )
     .unwrap();
-    let cmp = compare_lossiness(&tagged, &union, &universe, &mut vocab).unwrap();
+    let cmp = compare_lossiness(
+        &tagged,
+        &union,
+        &universe,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default(),
+    )
+    .unwrap();
     assert_eq!(cmp, Comparison::StrictlyLessLossy);
     println!("design comparison: the tagged mapping is strictly less lossy than the union mapping");
     let tagged_loss = information_loss(&tagged, &universe, &mut vocab, 0).unwrap();

@@ -39,6 +39,6 @@ pub use rde_query as query;
 pub mod prelude {
     pub use rde_chase::{chase, disjunctive_chase, ChaseOptions};
     pub use rde_deps::{parse_mapping, Dependency, SchemaMapping};
-    pub use rde_hom::{exists_hom, find_hom, hom_equivalent};
+    pub use rde_hom::{exists_hom, find_hom, hom_equivalent, HomConfig, HomStats, Verdict};
     pub use rde_model::{Fact, Instance, Schema, Value, Vocabulary};
 }

@@ -176,8 +176,14 @@ impl Fixture {
                 self.pin("universe_size", report.universe_size as u64);
             }
             "homomorphism-property" => {
-                let verdict = check_homomorphism_property(&m, &universe, &mut vocab)
-                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let verdict = check_homomorphism_property(
+                    &m,
+                    &universe,
+                    &mut vocab,
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let word = match verdict {
                     BoundedVerdict::HoldsWithinBound => "holds",
                     BoundedVerdict::Counterexample { .. } => "counterexample",
@@ -198,6 +204,8 @@ impl Fixture {
                     &universe,
                     &mut vocab,
                     &ComposeOptions::default(),
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
                 )
                 .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 assert_eq!(self.verdict, "holds", "{}: only `holds` is expressible", self.name);
@@ -218,8 +226,15 @@ impl Fixture {
             }
             "compare" => {
                 let m2 = self.second_mapping(&mut vocab);
-                let verdict = compare::compare_lossiness(&m, &m2, &universe, &mut vocab)
-                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let verdict = compare::compare_lossiness(
+                    &m,
+                    &m2,
+                    &universe,
+                    &mut vocab,
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let word = match verdict {
                     compare::Comparison::EquallyLossy => "equally-lossy",
                     compare::Comparison::StrictlyLessLossy => "less-lossy",

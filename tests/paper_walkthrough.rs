@@ -41,13 +41,28 @@ fn example_1_1_full_pipeline() {
     assert_eq!(v.nulls().len(), 2);
     // V is hom-equivalent to the instance the paper writes down.
     let paper_v = parse_instance(&mut vocab, "P(a, b, ?zz)\nP(?xx, b, c)").unwrap();
-    assert!(hom_equivalent(&v, &paper_v));
+    assert!(hom_equivalent(&v, &paper_v, &HomConfig::default(), &mut HomStats::default()).holds());
 
     // Example 3.3 layered on top: U is an extended solution for V but
     // not a solution.
-    assert!(!reverse_data_exchange::core::semantics::is_solution(&v, &u, &m));
-    assert!(reverse_data_exchange::core::extended::is_extended_solution(&v, &u, &m, &mut vocab)
-        .unwrap());
+    assert!(!reverse_data_exchange::core::semantics::satisfies(
+        &v,
+        &u,
+        &m,
+        &HomConfig::default(),
+        &mut HomStats::default()
+    )
+    .holds());
+    assert!(reverse_data_exchange::core::extended::is_extended_solution(
+        &v,
+        &u,
+        &m,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default()
+    )
+    .unwrap()
+    .holds());
 }
 
 /// The union mapping across the stack: invertibility refutation,
@@ -61,7 +76,11 @@ fn union_mapping_full_pipeline() {
     // Not extended-invertible.
     let universe = Universe::new(&mut vocab, 1, 1, 2);
     let verdict = reverse_data_exchange::core::invertibility::check_homomorphism_property(
-        &m, &universe, &mut vocab,
+        &m,
+        &universe,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(matches!(verdict, BoundedVerdict::Counterexample { .. }));
@@ -77,6 +96,8 @@ fn union_mapping_full_pipeline() {
         &universe,
         &mut vocab,
         &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds());
@@ -130,8 +151,12 @@ fn theorem_3_15_part_2_pipeline() {
     .unwrap();
     assert!(verdict.holds(), "M′ is an inverse on ground instances: {verdict:?}");
     // But not extended-invertible (null counterexample exists).
-    let verdict = reverse_data_exchange::core::invertibility::check_extended_invertibility(
-        &m, &universe, &mut vocab,
+    let verdict = reverse_data_exchange::core::invertibility::check_homomorphism_property(
+        &m,
+        &universe,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(!verdict.holds());

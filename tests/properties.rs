@@ -81,13 +81,13 @@ proptest! {
         let i2 = w.instance("P", &f2);
         let m = w.two_step.clone();
         let u1 = rde_chase::chase_mapping(&i1, &m, &mut w.vocab, &ChaseOptions::default()).unwrap();
-        prop_assert!(reverse_data_exchange::core::semantics::is_solution(&i1, &u1, &m));
+        prop_assert!(reverse_data_exchange::core::semantics::satisfies(&i1, &u1, &m, &HomConfig::default(), &mut HomStats::default()).holds());
         prop_assert!(reverse_data_exchange::core::extended::is_extended_universal_solution(
-            &i1, &u1, &m, &mut w.vocab).unwrap());
+            &i1, &u1, &m, &mut w.vocab, &HomConfig::default(), &mut HomStats::default()).unwrap().holds());
         // Monotonicity: I1 → I2 implies chase(I1) → chase(I2).
-        if exists_hom(&i1, &i2) {
+        if exists_hom(&i1, &i2, &HomConfig::default(), &mut HomStats::default()).holds() {
             let u2 = rde_chase::chase_mapping(&i2, &m, &mut w.vocab, &ChaseOptions::default()).unwrap();
-            prop_assert!(exists_hom(&u1, &u2));
+            prop_assert!(exists_hom(&u1, &u2, &HomConfig::default(), &mut HomStats::default()).holds());
         }
     }
 
@@ -100,7 +100,7 @@ proptest! {
         let (m, minv) = (w.two_step.clone(), w.two_step_inv.clone());
         let recovered = reverse_data_exchange::core::chase_inverse::roundtrip(
             &m, &minv, &i, &mut w.vocab).unwrap();
-        prop_assert!(hom_equivalent(&i, &recovered));
+        prop_assert!(hom_equivalent(&i, &recovered, &HomConfig::default(), &mut HomStats::default()).holds());
         prop_assert!(i.is_subset_of(&recovered), "Example 3.18: I ⊆ V");
     }
 
@@ -110,7 +110,7 @@ proptest! {
         let mut w = World::new();
         let i = w.instance("P", &f);
         let r = core_of(&i);
-        prop_assert!(hom_equivalent(&i, &r.core));
+        prop_assert!(hom_equivalent(&i, &r.core, &HomConfig::default(), &mut HomStats::default()).holds());
         prop_assert!(r.core.is_subset_of(&i));
         prop_assert!(is_core(&r.core));
         prop_assert_eq!(core_of(&r.core).core, r.core.clone());
@@ -169,7 +169,7 @@ proptest! {
         let i2 = w.instance("P", &f2);
         let m = w.two_step.clone();
         prop_assert!(reverse_data_exchange::core::arrow::arrow_m(&m, &i1, &i1, &mut w.vocab).unwrap());
-        if exists_hom(&i1, &i2) {
+        if exists_hom(&i1, &i2, &HomConfig::default(), &mut HomStats::default()).holds() {
             prop_assert!(reverse_data_exchange::core::arrow::arrow_m(&m, &i1, &i2, &mut w.vocab).unwrap());
         }
     }

@@ -19,6 +19,7 @@ use reverse_data_exchange::core::recovery::{
     check_maximum_extended_recovery, find_extended_recovery_counterexample,
 };
 use reverse_data_exchange::core::Universe;
+use reverse_data_exchange::hom::{HomConfig, HomStats};
 
 /// Abstract full tgd: premise atoms and conclusion atoms as
 /// (relation, variable indices) pairs. Variables range over 0..3.
@@ -88,7 +89,7 @@ proptest! {
         let universe = Universe::new(&mut vocab, 1, 1, 2);
         let opts = ComposeOptions::default();
         let verdict =
-            check_maximum_extended_recovery(&mapping, &recovery, &universe, &mut vocab, &opts)
+            check_maximum_extended_recovery(&mapping, &recovery, &universe, &mut vocab, &opts, &HomConfig::default(), &mut HomStats::default())
                 .unwrap();
         prop_assert!(
             verdict.holds(),
