@@ -30,11 +30,6 @@ fn sat(i: &Instance, j: &Instance, m: &SchemaMapping) -> bool {
     satisfies(i, j, m, &HomConfig::default(), &mut HomStats::default()).holds()
 }
 
-fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
-    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
-    is_extended_solution(i, j, m, v, &unbounded, &mut stats).unwrap().holds()
-}
-
 fn hom_property(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
     let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     check_homomorphism_property(m, u, v, &unbounded, &mut stats).unwrap()
@@ -152,13 +147,16 @@ fn e2() -> Outcome {
     let vi = parse_instance(&mut v, "P(a,b,?z)\nP(?x,b,c)").unwrap();
     let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
     let not_sol = !sat(&vi, &u, &m);
-    let is_esol = esol(&vi, &u, &m, &mut v);
+    let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+    let is_esol = is_extended_solution(&vi, &u, &m, &mut v, &unbounded, stats).unwrap().holds();
     // Prop 3.4: ground sources have eSol = Sol on a bounded target universe.
     let i = parse_instance(&mut v, "P(a,b,c)").unwrap();
     let universe = Universe::new(&mut v, 3, 1, 2);
     let mut prop34 = true;
     for j in universe.instances(&v, &m.target).unwrap() {
-        if sat(&i, &j, &m) != esol(&i, &j, &m, &mut v) {
+        if sat(&i, &j, &m)
+            != is_extended_solution(&i, &j, &m, &mut v, &unbounded, stats).unwrap().holds()
+        {
             prop34 = false;
             break;
         }

@@ -156,6 +156,17 @@ impl ChaseOptions {
     pub fn for_variant(variant: ChaseVariant) -> ChaseOptions {
         ChaseOptions { variant, ..ChaseOptions::default() }
     }
+
+    /// Default options for a chase that builds the input of a caller's
+    /// decision — `chase_M(I)` inside a solution or arrow check, or
+    /// `U = chase_M(I)` before reverse query answering: the caller's
+    /// context and time budget, no node budget. The node budget bounds
+    /// the decision's own searches; premise matching is strict, so
+    /// carrying it into this chase would fail the input instead.
+    pub fn under(config: &HomConfig) -> ChaseOptions {
+        let hom = HomConfig { node_budget: None, ..config.clone() };
+        ChaseOptions { hom, ..ChaseOptions::default() }
+    }
 }
 
 /// Provenance of one trigger firing (recorded when

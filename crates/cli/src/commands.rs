@@ -372,10 +372,10 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
-    let forward = chase_options(opts);
-    let u = chase_mapping(&instance, &mapping, &mut vocab, &forward).map_err(chase_err)?;
-    let options =
-        DisjunctiveChaseOptions { hom: forward.hom.clone(), ..DisjunctiveChaseOptions::default() };
+    let hom = hom_config(opts);
+    let u = chase_mapping(&instance, &mapping, &mut vocab, &ChaseOptions::under(&hom))
+        .map_err(chase_err)?;
+    let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
     let result =
         disjunctive_chase(&u, &reverse.dependencies, &mut vocab, &options).map_err(chase_err)?;
     println!("# {} leaf instance(s)", result.leaves.len());

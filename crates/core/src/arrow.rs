@@ -11,7 +11,7 @@ use rde_hom::{core_of_budgeted, exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, NullId, Value, Vocabulary};
 
-use crate::{chase_options, CoreError};
+use crate::CoreError;
 
 /// `I₁ →_M I₂` for a tgd-specified mapping: by Proposition 4.7 this is
 /// `chase_M(I₁) → chase_M(I₂)` (equivalently, `eSol_M(I₂) ⊆
@@ -247,7 +247,7 @@ impl ArrowMCache {
         policy: CachePolicy,
     ) -> Result<Self, CoreError> {
         let span = rde_obs::span("core.arrow.build", &[("instances", family.len().into())]);
-        let chase_options = chase_options(config);
+        let chase_options = ChaseOptions::under(config);
         let mut chased = Vec::with_capacity(family.len());
         let mut class = Vec::with_capacity(family.len());
         let mut reps: Vec<Instance> = Vec::new();
@@ -322,7 +322,7 @@ impl ArrowMCache {
         vocab: &mut Vocabulary,
         config: &HomConfig,
     ) -> Result<ClassHandle, CoreError> {
-        let chase_options = chase_options(config);
+        let chase_options = ChaseOptions::under(config);
         let c = chase_mapping(instance, mapping, vocab, &chase_options)?;
         let outcome = core_of_budgeted(&c, config);
         self.lock_stats().hom += outcome.stats;
@@ -522,18 +522,10 @@ impl ArrowMCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::{arrow, hom};
     use crate::Universe;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
-
-    fn hom(a: &Instance, b: &Instance) -> bool {
-        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
-    }
-
-    /// Unbounded `→_M` through the cache.
-    fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
-        cache.arrow(a, b, &HomConfig::default()).holds()
-    }
 
     #[test]
     fn copy_mapping_arrow_is_hom() {

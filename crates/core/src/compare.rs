@@ -132,17 +132,8 @@ pub fn check_less_lossy_via_recoveries<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::compare;
     use rde_deps::parse_mapping;
-
-    fn compare(
-        m1: &SchemaMapping,
-        m2: &SchemaMapping,
-        u: &crate::Universe,
-        v: &mut Vocabulary,
-    ) -> Result<crate::compare::Comparison, crate::CoreError> {
-        let unbounded = HomConfig::default();
-        crate::compare::compare_lossiness(m1, m2, u, v, &unbounded, &mut HomStats::default())
-    }
 
     /// Example 6.7: the copy mapping M₁ is strictly less lossy than the
     /// componentwise copy M₂.

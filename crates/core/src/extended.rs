@@ -1,12 +1,12 @@
 //! Extended solutions and the homomorphic extension `e(M)` (Section 3).
 
-use rde_chase::chase_mapping;
+use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
 use rde_hom::{exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::semantics::satisfies;
-use crate::{chase_options, CoreError, Universe};
+use crate::{CoreError, Universe};
 
 /// The extended identity: `(I₁, I₂) ∈ e(Id)` iff `I₁ → I₂`
 /// (Definition 3.7 — `e(Id)` *is* the homomorphism relation).
@@ -36,7 +36,7 @@ pub fn is_extended_solution(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::under(config))?;
     Ok(exists_hom(&canonical, target, config, stats))
 }
 
@@ -57,7 +57,7 @@ pub fn is_extended_universal_solution(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::under(config))?;
     Ok(rde_hom::hom_equivalent(&canonical, target, config, stats))
 }
 
@@ -103,24 +103,9 @@ fn invalid(e: rde_model::ModelError) -> CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::{esol, sat, universal};
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
-
-    fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
-        let mut stats = HomStats::default();
-        is_extended_solution(i, j, m, v, &HomConfig::default(), &mut stats).unwrap().holds()
-    }
-
-    fn universal(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
-        let mut stats = HomStats::default();
-        let unbounded = HomConfig::default();
-        is_extended_universal_solution(i, j, m, v, &unbounded, &mut stats).unwrap().holds()
-    }
-
-    fn sol(i: &Instance, j: &Instance, m: &SchemaMapping) -> bool {
-        let mut stats = HomStats::default();
-        crate::semantics::satisfies(i, j, m, &HomConfig::default(), &mut stats).holds()
-    }
 
     fn decomposition(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/3\ntarget: Q/2, R/2\nP(x,y,z) -> Q(x,y) & R(y,z)").unwrap()
@@ -134,7 +119,7 @@ mod tests {
         let m = decomposition(&mut v);
         let vi = parse_instance(&mut v, "P(a, b, ?z)\nP(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        assert!(!sol(&vi, &u, &m));
+        assert!(!sat(&vi, &u, &m));
         assert!(esol(&vi, &u, &m, &mut v));
     }
 
@@ -142,13 +127,13 @@ mod tests {
     /// `eSol_M(I) = Sol_M(I)` — verified exhaustively on a bounded
     /// universe of targets.
     #[test]
-    fn proposition_3_4_ground_esol_equals_sol() {
+    fn proposition_3_4_ground_esol_equals_sat() {
         let mut v = Vocabulary::new();
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(a, b, c)").unwrap();
         let universe = Universe::new(&mut v, 3, 1, 3);
         for j in universe.instances(&v, &m.target).unwrap() {
-            assert_eq!(sol(&i, &j, &m), esol(&i, &j, &m, &mut v), "disagreement on {j:?}");
+            assert_eq!(sat(&i, &j, &m), esol(&i, &j, &m, &mut v), "disagreement on {j:?}");
         }
     }
 
@@ -159,7 +144,7 @@ mod tests {
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(d, b)\nR(b, c)").unwrap();
-        assert!(!sol(&i, &u, &m));
+        assert!(!sat(&i, &u, &m));
         assert!(esol(&i, &u, &m, &mut v));
     }
 

@@ -158,13 +158,9 @@ pub fn check_chase_is_capturing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::hom_property;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
-
-    fn unbounded_check(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
-        check_homomorphism_property(m, u, v, &HomConfig::default(), &mut HomStats::default())
-            .unwrap()
-    }
 
     /// Example 3.14: the union mapping is not extended-invertible, with
     /// the paper's exact counterexample shape ({P(c)}, {Q(c)}).
@@ -174,7 +170,7 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
             .unwrap();
         let u = Universe::new(&mut v, 1, 0, 1);
-        let verdict = unbounded_check(&m, &u, &mut v);
+        let verdict = hom_property(&m, &u, &mut v);
         match verdict {
             BoundedVerdict::Counterexample { i1, i2 } => {
                 assert_eq!(i1.len(), 1);
@@ -195,7 +191,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::small(&mut v);
-        assert!(unbounded_check(&m, &u, &mut v).holds());
+        assert!(hom_property(&m, &u, &mut v).holds());
         assert_eq!(check_chase_is_capturing(&m, &u, &mut v).unwrap(), None);
     }
 
@@ -212,7 +208,7 @@ mod tests {
         .unwrap();
         // With nulls: counterexample found.
         let with_nulls = Universe::new(&mut v, 1, 1, 1);
-        let verdict = unbounded_check(&m, &with_nulls, &mut v);
+        let verdict = hom_property(&m, &with_nulls, &mut v);
         let BoundedVerdict::Counterexample { i1, i2 } = verdict else {
             panic!("expected a null counterexample");
         };
@@ -220,7 +216,7 @@ mod tests {
         // Ground-only universe: the homomorphism property holds there
         // (the mapping IS invertible in the ground sense).
         let ground_only = Universe::new(&mut v, 2, 0, 2);
-        assert!(unbounded_check(&m, &ground_only, &mut v).holds());
+        assert!(hom_property(&m, &ground_only, &mut v).holds());
     }
 
     /// A starved budget cannot settle the pairs: the checker says
@@ -257,7 +253,7 @@ mod tests {
             parse_mapping(&mut v, "source: P/2\ntarget: Q/2\nP(x,y) -> exists z . Q(x,z) & Q(z,y)")
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
-        assert!(unbounded_check(&m, &u, &mut v).holds());
+        assert!(hom_property(&m, &u, &mut v).holds());
     }
 
     #[test]

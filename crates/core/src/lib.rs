@@ -78,11 +78,61 @@ pub mod universe;
 pub use error::CoreError;
 pub use universe::Universe;
 
-/// Chase options for a checker running under `config`: its context and
-/// time budget, no node budget. Premise matching is strict (a cut is a
-/// [`CoreError`]), so a node budget meant for the checker's hom
-/// decisions would only inject spurious hard failures.
-pub(crate) fn chase_options(config: &rde_hom::HomConfig) -> rde_chase::ChaseOptions {
-    let hom = rde_hom::HomConfig { node_budget: None, ..config.clone() };
-    rde_chase::ChaseOptions { hom, ..rde_chase::ChaseOptions::default() }
+/// Unbounded forms of the checkers, shared by the unit tests.
+#[cfg(test)]
+mod unbounded {
+    use rde_deps::SchemaMapping;
+    use rde_hom::{exists_hom, HomConfig, HomStats};
+    use rde_model::{Instance, Vocabulary};
+
+    use crate::arrow::ArrowMCache;
+    use crate::compare::{compare_lossiness, Comparison};
+    use crate::compose::ComposeOptions;
+    use crate::extended::{is_extended_solution, is_extended_universal_solution};
+    use crate::invertibility::{check_homomorphism_property, BoundedVerdict};
+    use crate::recovery::{check_maximum_extended_recovery, MaxRecoveryVerdict};
+    use crate::{CoreError, Universe};
+
+    pub fn hom(a: &Instance, b: &Instance) -> bool {
+        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+    pub fn sat(i: &Instance, j: &Instance, m: &SchemaMapping) -> bool {
+        crate::semantics::satisfies(i, j, m, &HomConfig::default(), &mut HomStats::default())
+            .holds()
+    }
+    pub fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        let mut stats = HomStats::default();
+        is_extended_solution(i, j, m, v, &HomConfig::default(), &mut stats).unwrap().holds()
+    }
+    pub fn universal(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        let mut stats = HomStats::default();
+        let unbounded = HomConfig::default();
+        is_extended_universal_solution(i, j, m, v, &unbounded, &mut stats).unwrap().holds()
+    }
+    pub fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
+        cache.arrow(a, b, &HomConfig::default()).holds()
+    }
+    pub fn hom_property(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
+        check_homomorphism_property(m, u, v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+    }
+    pub fn max_recovery(
+        m: &SchemaMapping,
+        rec: &SchemaMapping,
+        u: &Universe,
+        v: &mut Vocabulary,
+        opts: &ComposeOptions,
+    ) -> MaxRecoveryVerdict {
+        let unbounded = HomConfig::default();
+        check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut HomStats::default())
+            .unwrap()
+    }
+    pub fn compare(
+        m1: &SchemaMapping,
+        m2: &SchemaMapping,
+        u: &Universe,
+        v: &mut Vocabulary,
+    ) -> Result<Comparison, CoreError> {
+        compare_lossiness(m1, m2, u, v, &HomConfig::default(), &mut HomStats::default())
+    }
 }

@@ -736,22 +736,9 @@ pub fn set_partitions(n: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::check_maximum_extended_recovery;
+    use crate::unbounded::max_recovery;
     use crate::{compose::ComposeOptions, Universe};
     use rde_deps::{parse_mapping, printer};
-    use rde_hom::{HomConfig, HomStats};
-
-    fn max_recovery(
-        m: &SchemaMapping,
-        rec: &SchemaMapping,
-        u: &Universe,
-        v: &mut Vocabulary,
-        opts: &ComposeOptions,
-    ) -> crate::recovery::MaxRecoveryVerdict {
-        let unbounded = HomConfig::default();
-        check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut HomStats::default())
-            .unwrap()
-    }
 
     fn synthesize(text: &str) -> (Vocabulary, SchemaMapping, SchemaMapping) {
         let mut v = Vocabulary::new();

@@ -179,20 +179,9 @@ pub fn check_extended_inverse_semantically(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::max_recovery;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
-
-    fn max_recovery(
-        m: &SchemaMapping,
-        rec: &SchemaMapping,
-        u: &Universe,
-        v: &mut Vocabulary,
-        opts: &ComposeOptions,
-    ) -> crate::recovery::MaxRecoveryVerdict {
-        let unbounded = HomConfig::default();
-        check_maximum_extended_recovery(m, rec, u, v, opts, &unbounded, &mut HomStats::default())
-            .unwrap()
-    }
 
     /// Example 1.1's natural reverse mapping is a maximum extended
     /// recovery of the decomposition mapping (bounded check of the

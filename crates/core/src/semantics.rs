@@ -109,12 +109,9 @@ pub fn is_universal_solution(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unbounded::sat;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
-
-    fn sat(source: &Instance, target: &Instance, mapping: &SchemaMapping) -> bool {
-        satisfies(source, target, mapping, &HomConfig::default(), &mut HomStats::default()).holds()
-    }
 
     fn decomposition(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/3\ntarget: Q/2, R/2\nP(x,y,z) -> Q(x,y) & R(y,z)").unwrap()

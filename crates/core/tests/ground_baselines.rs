@@ -4,17 +4,12 @@
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_core::compose::ComposeOptions;
 use rde_core::ground::{check_subset_property, ground_information_loss, is_witness_solution};
-use rde_core::invertibility::{check_homomorphism_property, BoundedVerdict};
+use rde_core::invertibility::check_homomorphism_property;
 use rde_core::loss::information_loss;
 use rde_core::Universe;
 use rde_deps::{parse_mapping, SchemaMapping};
 use rde_hom::{HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
-
-fn hom_property(m: &SchemaMapping, u: &Universe, v: &mut Vocabulary) -> BoundedVerdict {
-    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
-    check_homomorphism_property(m, u, v, &unbounded, &mut stats).unwrap()
-}
 
 const FAMILIES: &[(&str, &str)] = &[
     ("copy", "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)"),
@@ -42,7 +37,9 @@ fn homomorphism_property_implies_subset_property() {
     for &(name, text) in FAMILIES {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 2);
-        let extended_ok = hom_property(&m, &u, &mut v).holds();
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let extended_ok =
+            check_homomorphism_property(&m, &u, &mut v, &unbounded, stats).unwrap().holds();
         let ground_ok = check_subset_property(&m, &u, &mut v).unwrap().holds();
         if extended_ok {
             assert!(ground_ok, "family {name}: Thm 3.15(1) violated within bound");
@@ -61,7 +58,8 @@ fn cross_null_family_separates_the_notions() {
     let (mut v, m) = load(FAMILIES[4].1);
     let u = Universe::new(&mut v, 2, 1, 2);
     assert!(check_subset_property(&m, &u, &mut v).unwrap().holds());
-    assert!(!hom_property(&m, &u, &mut v).holds());
+    let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+    assert!(!check_homomorphism_property(&m, &u, &mut v, &unbounded, stats).unwrap().holds());
 }
 
 /// Ground information loss is bounded by the all-instance loss on

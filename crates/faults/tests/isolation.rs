@@ -27,10 +27,6 @@ use rde_faults::{ExecContext, FaultConfig, FaultInjector};
 use rde_hom::HomConfig;
 use rde_model::{Instance, Vocabulary};
 
-fn arrow(cache: &ArrowMCache, a: usize, b: usize) -> bool {
-    cache.arrow(a, b, &HomConfig::default()).holds()
-}
-
 const MAPPING: &str = "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)";
 
 /// A context that can only misbehave: every injection point fires on
@@ -89,7 +85,8 @@ fn run_engines(ctx: &ExecContext) -> Result<Answers, String> {
     )
     .map_err(|e| format!("arrow: {e}"))?;
     let n = cache.len();
-    let arrows = (0..n).map(|a| (0..n).map(|b| arrow(&cache, a, b)).collect()).collect();
+    let arrow = |a, b| cache.arrow(a, b, &HomConfig::default()).holds();
+    let arrows = (0..n).map(|a| (0..n).map(|b| arrow(a, b)).collect()).collect();
 
     let report: LossReport = information_loss_scoped(&mapping, &universe, &mut vocab, 4, ctx)
         .map_err(|e| format!("loss: {e}"))?;

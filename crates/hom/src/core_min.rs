@@ -162,28 +162,34 @@ pub fn core_of_quadratic(instance: &Instance) -> CoreResult {
 
 /// Is `instance` its own core (no homomorphism into a proper
 /// sub-instance)?
+///
+/// Independent of [`core_of`]'s folding loop, so tests can use it as a
+/// minimality check on `core_of`'s output: it tries every null fact
+/// once and stops at the first fold.
 pub fn is_core(instance: &Instance) -> bool {
-    core_of(instance).core.len() == instance.len()
+    let (pattern, _) = instance_pattern(instance);
+    let mut current = instance.clone();
+    let candidates: Vec<Fact> = instance.facts().filter(|f| f.has_null()).collect();
+    for f in candidates {
+        current.remove_fact(&f);
+        let mut found = false;
+        pattern.for_each_match(None, &current, &[], &HomConfig::default(), |_| {
+            found = true;
+            false
+        });
+        current.insert(f);
+        if found {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hom_equivalent, is_isomorphic};
-    use rde_model::{ConstId, Fact, NullId, RelId, Value};
-
-    fn c(i: u32) -> Value {
-        Value::Const(ConstId(i))
-    }
-    fn n(i: u32) -> Value {
-        Value::Null(NullId(i))
-    }
-    fn inst(facts: &[(u32, &[Value])]) -> Instance {
-        facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
-    }
-    fn equivalent(a: &Instance, b: &Instance) -> bool {
-        hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
-    }
+    use crate::is_isomorphic;
+    use crate::test_util::*;
 
     #[test]
     fn ground_instances_are_their_own_core() {

@@ -29,25 +29,7 @@ pub fn hom_equivalent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::find_hom;
-    use rde_model::{ConstId, Fact, NullId, RelId, Substitution, Value};
-
-    fn c(i: u32) -> Value {
-        Value::Const(ConstId(i))
-    }
-    fn n(i: u32) -> Value {
-        Value::Null(NullId(i))
-    }
-    fn inst(facts: &[(u32, &[Value])]) -> Instance {
-        facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
-    }
-    fn equivalent(a: &Instance, b: &Instance) -> bool {
-        hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
-    }
-    fn witness(a: &Instance, b: &Instance) -> Option<Substitution> {
-        find_hom(a, b, &Substitution::new(), &HomConfig::default(), &mut HomStats::default())
-            .expect("an unbounded search completes")
-    }
+    use crate::test_util::*;
 
     #[test]
     fn equivalence_is_reflexive() {

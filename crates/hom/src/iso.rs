@@ -64,17 +64,7 @@ pub fn is_isomorphic(a: &Instance, b: &Instance) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rde_model::{ConstId, Fact, NullId, RelId};
-
-    fn c(i: u32) -> Value {
-        Value::Const(ConstId(i))
-    }
-    fn n(i: u32) -> Value {
-        Value::Null(NullId(i))
-    }
-    fn inst(facts: &[(u32, &[Value])]) -> Instance {
-        facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
-    }
+    use crate::test_util::*;
 
     #[test]
     fn equal_instances_are_isomorphic() {

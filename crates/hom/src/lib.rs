@@ -48,3 +48,30 @@ pub use search::{
     HomStats, PatArg, PatternAtom, SearchReport,
 };
 pub use verdict::{Exhausted, Verdict};
+
+/// Fixtures and unbounded deciders shared by the unit tests.
+#[cfg(test)]
+mod test_util {
+    use crate::{exists_hom, find_hom, hom_equivalent, HomConfig, HomStats};
+    use rde_model::{ConstId, Fact, Instance, NullId, RelId, Substitution, Value};
+
+    pub fn c(i: u32) -> Value {
+        Value::Const(ConstId(i))
+    }
+    pub fn n(i: u32) -> Value {
+        Value::Null(NullId(i))
+    }
+    pub fn inst(facts: &[(u32, &[Value])]) -> Instance {
+        facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
+    }
+    pub fn hom(a: &Instance, b: &Instance) -> bool {
+        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+    pub fn witness(a: &Instance, b: &Instance) -> Option<Substitution> {
+        find_hom(a, b, &Substitution::new(), &HomConfig::default(), &mut HomStats::default())
+            .expect("an unbounded search completes")
+    }
+    pub fn equivalent(a: &Instance, b: &Instance) -> bool {
+        hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+}

@@ -567,53 +567,37 @@ pub fn count_homs(source: &Instance, target: &Instance) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::*;
     use rde_model::{Fact, RelId};
-
-    fn c(i: u32) -> Value {
-        Value::Const(rde_model::ConstId(i))
-    }
-    fn n(i: u32) -> Value {
-        Value::Null(NullId(i))
-    }
-    fn inst(facts: &[(u32, &[Value])]) -> Instance {
-        facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
-    }
-    fn maps(source: &Instance, target: &Instance) -> bool {
-        exists_hom(source, target, &HomConfig::default(), &mut HomStats::default()).holds()
-    }
-    fn witness(source: &Instance, target: &Instance, seed: &Substitution) -> Option<Substitution> {
-        find_hom(source, target, seed, &HomConfig::default(), &mut HomStats::default())
-            .expect("an unbounded search completes")
-    }
 
     #[test]
     fn empty_source_maps_anywhere() {
         let empty = Instance::new();
         let target = inst(&[(0, &[c(0)])]);
-        assert!(maps(&empty, &target));
-        assert!(maps(&empty, &empty));
+        assert!(hom(&empty, &target));
+        assert!(hom(&empty, &empty));
     }
 
     #[test]
     fn nonempty_source_needs_matching_relation() {
         let source = inst(&[(0, &[n(0)])]);
         let target = inst(&[(1, &[c(0)])]);
-        assert!(!maps(&source, &target));
+        assert!(!hom(&source, &target));
     }
 
     #[test]
     fn constants_are_fixed() {
         let source = inst(&[(0, &[c(0)])]);
         let target = inst(&[(0, &[c(1)])]);
-        assert!(!maps(&source, &target));
-        assert!(maps(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
+        assert!(!hom(&source, &target));
+        assert!(hom(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
     }
 
     #[test]
     fn nulls_map_to_constants_or_nulls() {
         let source = inst(&[(0, &[n(0), n(1)])]);
         let target = inst(&[(0, &[c(0), n(5)])]);
-        let h = witness(&source, &target, &Substitution::new()).unwrap();
+        let h = witness(&source, &target).unwrap();
         assert_eq!(h.apply(n(0)), c(0));
         assert_eq!(h.apply(n(1)), n(5));
     }
@@ -622,8 +606,8 @@ mod tests {
     fn shared_nulls_must_agree() {
         // P(x, x) cannot map into P(a, b).
         let source = inst(&[(0, &[n(0), n(0)])]);
-        assert!(!maps(&source, &inst(&[(0, &[c(0), c(1)])])));
-        assert!(maps(&source, &inst(&[(0, &[c(0), c(0)])])));
+        assert!(!hom(&source, &inst(&[(0, &[c(0), c(1)])])));
+        assert!(hom(&source, &inst(&[(0, &[c(0), c(0)])])));
     }
 
     #[test]
@@ -631,13 +615,13 @@ mod tests {
         // Path of nulls x→y→z maps onto edge a→b by folding.
         let source = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(2)])]);
         let target = inst(&[(0, &[c(0), c(1)]), (0, &[c(1), c(0)])]);
-        assert!(maps(&source, &target));
+        assert!(hom(&source, &target));
         // ...but not into a single non-loop edge.
         let single = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!maps(&source, &single));
+        assert!(!hom(&source, &single));
         // A loop absorbs everything.
         let loop_ = inst(&[(0, &[c(0), c(0)])]);
-        assert!(maps(&source, &loop_));
+        assert!(hom(&source, &loop_));
     }
 
     #[test]
@@ -645,10 +629,10 @@ mod tests {
         // For ground I₁: I₁ → I₂ iff I₁ ⊆ I₂ (paper, Section 1).
         let i1 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)])]);
         let i2 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)]), (1, &[c(3)])]);
-        assert!(maps(&i1, &i2));
+        assert!(hom(&i1, &i2));
         assert!(i1.is_subset_of(&i2));
         let i3 = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!maps(&i1, &i3));
+        assert!(!hom(&i1, &i3));
         assert!(!i1.is_subset_of(&i3));
     }
 
@@ -657,9 +641,9 @@ mod tests {
         // P(x), Q(x) needs a value in both unary relations.
         let source = inst(&[(0, &[n(0)]), (1, &[n(0)])]);
         let t1 = inst(&[(0, &[c(0)]), (1, &[c(1)])]);
-        assert!(!maps(&source, &t1));
+        assert!(!hom(&source, &t1));
         let t2 = inst(&[(0, &[c(0)]), (1, &[c(0)])]);
-        assert!(maps(&source, &t2));
+        assert!(hom(&source, &t2));
     }
 
     #[test]
@@ -668,10 +652,12 @@ mod tests {
         let target = inst(&[(0, &[c(0)]), (0, &[c(1)])]);
         let mut seed = Substitution::new();
         seed.bind(NullId(0), c(1));
-        let h = witness(&source, &target, &seed).unwrap();
-        assert_eq!(h.apply(n(0)), c(1));
+        let unbounded = HomConfig::default();
+        let h = find_hom(&source, &target, &seed, &unbounded, &mut HomStats::default()).unwrap();
+        assert_eq!(h.unwrap().apply(n(0)), c(1));
         seed.bind(NullId(0), c(7)); // not in target
-        assert!(witness(&source, &target, &seed).is_none());
+        let none = find_hom(&source, &target, &seed, &unbounded, &mut HomStats::default()).unwrap();
+        assert!(none.is_none());
     }
 
     #[test]
@@ -679,8 +665,8 @@ mod tests {
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(2), c(0)])]);
         let c_ = inst(&[(0, &[c(1), c(0)])]);
-        let h1 = witness(&a, &b, &Substitution::new()).unwrap();
-        let h2 = witness(&b, &c_, &Substitution::new()).unwrap();
+        let h1 = witness(&a, &b).unwrap();
+        let h2 = witness(&b, &c_).unwrap();
         let composed = h1.then(&h2);
         assert_eq!(composed.apply_instance(&a), c_);
     }

@@ -10,15 +10,6 @@ fn hom(a: &Instance, b: &Instance) -> bool {
     exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
 }
 
-fn witness(a: &Instance, b: &Instance) -> Option<Substitution> {
-    find_hom(a, b, &Substitution::new(), &HomConfig::default(), &mut HomStats::default()).unwrap()
-}
-
-fn equivalent(a: &Instance, b: &Instance) -> bool {
-    let unbounded = HomConfig::default();
-    hom_equivalent(a, b, &unbounded, &mut HomStats::default()).holds()
-}
-
 fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
     prop::collection::vec(prop::collection::vec((any::<bool>(), 0u8..4), 2), 0..=max)
 }
@@ -51,8 +42,9 @@ proptest! {
     fn hom_is_reflexive_and_witnessed(facts in abstract_facts(8)) {
         let mut vocab = Vocabulary::new();
         let i = materialize(&mut vocab, &facts);
-        let h = witness(&i, &i).expect("identity works");
-        prop_assert!(h.apply_instance(&i).is_subset_of(&i));
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let h = find_hom(&i, &i, &Substitution::new(), &unbounded, stats).unwrap();
+        prop_assert!(h.expect("identity works").apply_instance(&i).is_subset_of(&i));
     }
 
     /// Transitivity through explicit witnesses.
@@ -62,7 +54,10 @@ proptest! {
         let a = materialize(&mut vocab, &f1);
         let b = materialize(&mut vocab, &f2);
         let c = materialize(&mut vocab, &f3);
-        if let (Some(h1), Some(h2)) = (witness(&a, &b), witness(&b, &c)) {
+        let (unbounded, stats) = (HomConfig::default(), &mut HomStats::default());
+        let h1 = find_hom(&a, &b, &Substitution::new(), &unbounded, stats).unwrap();
+        let h2 = find_hom(&b, &c, &Substitution::new(), &unbounded, stats).unwrap();
+        if let (Some(h1), Some(h2)) = (h1, h2) {
             let composed = h1.then(&h2);
             prop_assert!(composed.apply_instance(&a).is_subset_of(&c));
             prop_assert!(hom(&a, &c));
@@ -95,7 +90,8 @@ proptest! {
         }
         let j = rename.apply_instance(&i);
         prop_assert!(is_isomorphic(&i, &j));
-        prop_assert!(equivalent(&i, &j));
+        let unbounded = HomConfig::default();
+        prop_assert!(hom_equivalent(&i, &j, &unbounded, &mut HomStats::default()).holds());
     }
 
     /// Collapsing all nulls to one constant gives a hom target.
@@ -116,7 +112,8 @@ proptest! {
         let i = materialize(&mut vocab, &facts);
         let r = core_of(&i);
         prop_assert!(r.core.is_subset_of(&i));
-        prop_assert!(equivalent(&i, &r.core));
+        let unbounded = HomConfig::default();
+        prop_assert!(hom_equivalent(&i, &r.core, &unbounded, &mut HomStats::default()).holds());
         prop_assert!(is_core(&r.core));
         // Cores of isomorphic instances are isomorphic.
         let mut rename = Substitution::new();

@@ -51,10 +51,10 @@ pub fn reverse_certain_answers(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
-    // The forward chase runs under the caller's budgets and context
-    // too, so a cancel, deadline, budget or injected fault cuts it, not
-    // just the disjunctive phase.
-    let forward = ChaseOptions { hom: options.hom.clone(), ..ChaseOptions::default() };
+    // The forward chase runs under the caller's context and time budget
+    // too, so a cancel, deadline or injected fault cuts it, not just the
+    // disjunctive phase.
+    let forward = ChaseOptions::under(&options.hom);
     let u = chase_mapping(source, mapping, vocab, &forward)?;
     reverse_certain_answers_from_target(q, &u, mapping, recovery, vocab, options)
 }
