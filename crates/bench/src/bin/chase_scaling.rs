@@ -76,7 +76,8 @@ fn main() {
                     "\"result_facts\": {}, \"naive_ms\": {:.3}, \"semi_naive_ms\": {:.3}, ",
                     "\"restricted_ms\": {:.3}, ",
                     "\"restricted_fired\": {}, \"restricted_facts\": {}, ",
-                    "\"speedup_semi_vs_naive\": {:.2}, \"hom_nodes\": {}}}"
+                    "\"speedup_semi_vs_naive\": {:.2}, \"hom_nodes\": {}, ",
+                    "\"restricted_hom_nodes\": {}}}"
                 ),
                 nodes,
                 deps.len(),
@@ -89,7 +90,8 @@ fn main() {
                 r_res.fired,
                 r_res.instance.len(),
                 t_naive / t_semi,
-                r_semi.hom.nodes
+                r_semi.hom.nodes,
+                r_res.hom.nodes
             ));
         }
     }

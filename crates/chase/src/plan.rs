@@ -11,8 +11,9 @@
 //!   full enumeration and delta-seeded enumeration for the semi-naive
 //!   rounds;
 //! * a [`SatisfactionPlan`] — a conclusion disjunct over the premise's
-//!   slot space, for the restricted and disjunctive chases' pre-checks
-//!   and the solution checks;
+//!   slot space, for the restricted and disjunctive chases' trigger
+//!   checks and the solution checks (a full conclusion is a membership
+//!   probe per atom);
 //! * a [`FiringTemplate`] — the conclusion atoms as value/slot
 //!   instructions, so firing a trigger is a direct copy with no hash
 //!   lookups.
@@ -227,6 +228,10 @@ impl SatisfactionPlan {
     /// Does some extension of the trigger's assignment (existentials
     /// free) satisfy the conclusion in `instance`? Three-valued under
     /// `config`'s budgets, accumulating search work into `stats`.
+    ///
+    /// A conclusion without existentials is fully bound by the trigger,
+    /// so its check is one membership probe per atom
+    /// ([`CompiledPattern::probe`]), straight from `premise_vals`.
     pub fn satisfiable(
         &self,
         instance: &Instance,
@@ -235,14 +240,14 @@ impl SatisfactionPlan {
         stats: &mut HomStats,
     ) -> Verdict {
         debug_assert_eq!(premise_vals.len(), self.n_premise);
-        let seed: Vec<Option<Value>> = premise_vals.iter().map(|&v| Some(v)).collect();
-        let mut found = false;
-        let report = self.pattern.for_each_match(None, instance, &seed, config, |_| {
-            found = true;
-            false
-        });
+        let report = if self.pattern.num_vars() <= self.n_premise {
+            self.pattern.probe(instance, premise_vals, config)
+        } else {
+            let seed: Vec<Option<Value>> = premise_vals.iter().map(|&v| Some(v)).collect();
+            self.pattern.for_each_match(None, instance, &seed, config, |_| false)
+        };
         *stats += report.stats;
-        match (found, report.exhausted) {
+        match (report.stats.found > 0, report.exhausted) {
             (true, _) => Verdict::Holds,
             (false, None) => Verdict::Fails,
             (false, Some(budget)) => Verdict::Unknown { budget },

@@ -14,13 +14,16 @@
 //! 2. **Fire** — sort the new triggers by `(dependency, assignment)`
 //!    and fire them sequentially. Fresh nulls are allocated in firing
 //!    order, so the canonical sort makes naive and semi-naive runs
-//!    produce **equal** instances, not merely hom-equivalent ones.
+//!    produce **equal** instances, not merely hom-equivalent ones. The
+//!    restricted chase checks each trigger once, here, and skips it if
+//!    its conclusion is already satisfied. A round in which nothing
+//!    fires is the quiescence check and is not counted.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use rde_deps::{Dependency, SchemaMapping};
-use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{Exhausted, HomConfig, HomStats, SearchReport, Verdict};
 use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{Fact, Instance, RelId, Value, Vocabulary};
 
@@ -46,10 +49,10 @@ pub enum ChaseVariant {
     SemiNaive,
     /// The restricted (non-oblivious) chase with delta-driven rounds: a
     /// trigger whose conclusion is already satisfied in the live
-    /// instance is skipped, checked with the compiled
-    /// [`SatisfactionPlan`]s. Hom-equivalent to the oblivious variants
-    /// on terminating inputs, with smaller results; terminates on
-    /// strictly more inputs.
+    /// instance is skipped, checked once at firing with the compiled
+    /// [`SatisfactionPlan`]s (a membership probe for a full tgd).
+    /// Hom-equivalent to the oblivious variants on terminating inputs,
+    /// with smaller results; terminates on strictly more inputs.
     Restricted,
 }
 
@@ -193,16 +196,17 @@ pub struct RoundStats {
     pub matches: u64,
     /// Matches dropped as already fired or already seen this round.
     pub duplicates: u64,
-    /// Triggers skipped by the [`ChaseVariant::Restricted`] pre-check.
+    /// Triggers skipped at firing by the [`ChaseVariant::Restricted`]
+    /// satisfaction check (0 under the oblivious variants).
     pub satisfied: u64,
-    /// New triggers pending after the merge.
+    /// New triggers this round: `fired + satisfied`.
     pub triggers: usize,
-    /// Triggers actually fired (restricted-chase rechecks can skip more).
+    /// Triggers actually fired.
     pub fired: u64,
     /// Facts newly inserted by this round's firings.
     pub inserted: usize,
     /// Homomorphism-search work done this round (premise matching plus
-    /// restricted-chase satisfaction checks and rechecks).
+    /// restricted-chase satisfaction checks).
     pub hom: HomStats,
 }
 
@@ -226,24 +230,20 @@ pub struct ChaseResult {
     pub provenance: Vec<FiringRecord>,
 }
 
+impl ChaseResult {
+    /// Triggers the restricted chase skipped as already satisfied, over
+    /// every recorded round (0 under the oblivious variants).
+    pub fn satisfied(&self) -> u64 {
+        self.round_stats.iter().map(|s| s.satisfied).sum()
+    }
+}
+
 /// A dependency compiled for the chase hot path: premise plan,
-/// restricted-chase satisfaction check, and firing template, plus the
-/// hoisted universal-variable list (slot order).
+/// restricted-chase satisfaction check, and firing template.
 struct DepPlan {
     premise: PremisePlan,
     satisfaction: SatisfactionPlan,
     template: FiringTemplate,
-}
-
-/// Candidate triggers of one dependency collected in one round.
-#[derive(Default)]
-struct DepCandidates {
-    /// `(assignment, satisfied)`: slot-ordered values, and whether the
-    /// restricted pre-check found the conclusion already witnessed.
-    list: Vec<(Vec<Value>, bool)>,
-    matches: u64,
-    duplicates: u64,
-    hom: HomStats,
 }
 
 /// A round's delta facts grouped by relation, built once per round and
@@ -253,115 +253,93 @@ struct DepCandidates {
 /// Per-relation order is the delta's insertion order, so the seeded
 /// enumeration visits exactly the facts the ungrouped scan would have,
 /// in the same order — required for bit-identical trigger order.
-struct DeltaBuckets<'a> {
-    facts: &'a [Fact],
-    by_rel: FxHashMap<RelId, Vec<u32>>,
+type DeltaBuckets<'a> = FxHashMap<RelId, Vec<&'a Fact>>;
+
+fn delta_buckets(facts: &[Fact]) -> DeltaBuckets<'_> {
+    let mut by_rel = DeltaBuckets::default();
+    for f in facts {
+        by_rel.entry(f.relation()).or_default().push(f);
+    }
+    by_rel
 }
 
-impl<'a> DeltaBuckets<'a> {
-    fn new(facts: &'a [Fact]) -> Self {
-        let mut by_rel: FxHashMap<RelId, Vec<u32>> = FxHashMap::default();
-        for (i, f) in facts.iter().enumerate() {
-            by_rel.entry(f.relation()).or_default().push(i as u32);
-        }
-        DeltaBuckets { facts, by_rel }
-    }
-
-    fn for_rel(&self, rel: RelId) -> impl Iterator<Item = &'a Fact> + '_ {
-        self.by_rel.get(&rel).into_iter().flatten().map(|&i| &self.facts[i as usize])
-    }
-}
-
-/// Enumerate one dependency's new triggers against `current`. `delta`
-/// is `None` for a full enumeration (round 0 / naive) and
-/// `Some(buckets)` for a semi-naive delta round. Fails with
-/// [`ChaseError::MatchBudgetExhausted`] when a search hits `hom`'s
-/// budget: a truncated enumeration could silently miss triggers, so the
-/// chase refuses to continue from it.
+/// Enumerate one dependency's new triggers against `current`: every
+/// premise match whose key is not yet in `fired` is recorded there and
+/// returned, slot-ordered; the rest count as duplicates in `stats`,
+/// which also takes the search work. `delta` is `None` for a full
+/// enumeration (round 0 / naive) and `Some(buckets)` for a semi-naive
+/// delta round. Fails with [`ChaseError::MatchBudgetExhausted`] when a
+/// search hits `hom`'s budget: a truncated enumeration could silently
+/// miss triggers, so the chase refuses to continue from it.
 fn collect_dep(
-    di: usize,
     plan: &DepPlan,
     current: &Instance,
-    fired_keys: &[FxHashSet<Vec<Value>>],
+    fired: &mut FxHashSet<Vec<Value>>,
     delta: Option<&DeltaBuckets<'_>>,
-    restricted: bool,
     hom: &HomConfig,
-) -> Result<DepCandidates, ChaseError> {
-    let mut out = DepCandidates::default();
-    let mut local: FxHashSet<Vec<Value>> = FxHashSet::default();
-    let fired = &fired_keys[di];
-    // Shared with the match callback (which stops the enumeration when a
-    // satisfaction check runs out of budget) — hence a `Cell`, not a
-    // mutable borrow the callback would hold across calls.
-    let exhausted: std::cell::Cell<Option<Exhausted>> = std::cell::Cell::new(None);
-    {
-        let mut stats = HomStats::default();
-        let mut on_match = |vals: &[Value]| {
-            if fired.contains(vals) || !local.insert(vals.to_vec()) {
-                out.duplicates += 1;
-                return true;
-            }
-            // Deterministic chaos: a campaign firing here models the
-            // restricted-chase satisfaction check dying mid-search (a
-            // torn index, a poisoned backend). It must surface exactly
-            // like a genuine budget cut — a typed error, never a
-            // silently unsound skip-or-fire decision.
-            if restricted && hom.ctx.should_inject("chase.restricted.check") {
-                exhausted.set(Some(Exhausted::Nodes(0)));
-                return false;
-            }
-            let satisfied = restricted
-                && match plan.satisfaction.satisfiable(current, vals, hom, &mut stats) {
-                    Verdict::Holds => true,
-                    Verdict::Fails => false,
-                    Verdict::Unknown { budget } => {
-                        exhausted.set(Some(budget));
-                        return false;
-                    }
-                };
-            out.list.push((vals.to_vec(), satisfied));
-            true
-        };
-        match delta {
-            None => {
-                let report = plan.premise.for_each_match(current, hom, &mut on_match);
-                out.matches += report.stats.found;
-                out.hom += report.stats;
-                if exhausted.get().is_none() {
-                    exhausted.set(report.exhausted);
-                }
-            }
-            Some(db) => {
-                'atoms: for atom_idx in 0..plan.premise.num_atoms() {
-                    let rel = plan.premise.atom_rel(atom_idx);
-                    for fact in db.for_rel(rel) {
-                        if let Some(seed) = plan.premise.seed_from_fact(atom_idx, fact.args()) {
-                            let report = plan.premise.for_each_match_seeded(
-                                atom_idx,
-                                &seed,
-                                current,
-                                hom,
-                                &mut on_match,
-                            );
-                            out.matches += report.stats.found;
-                            out.hom += report.stats;
-                            if exhausted.get().is_none() {
-                                exhausted.set(report.exhausted);
-                            }
-                            if exhausted.get().is_some() {
-                                break 'atoms;
-                            }
-                        }
+    stats: &mut RoundStats,
+) -> Result<Vec<Vec<Value>>, ChaseError> {
+    let mut new = Vec::new();
+    let mut duplicates = 0;
+    let mut on_match = |vals: &[Value]| {
+        if fired.contains(vals) {
+            duplicates += 1;
+        } else {
+            fired.insert(vals.to_vec());
+            new.push(vals.to_vec());
+        }
+        true
+    };
+    let mut record = |report: SearchReport| {
+        stats.matches += report.stats.found;
+        stats.hom += report.stats;
+        report.exhausted.map_or(Ok(()), |budget| Err(ChaseError::MatchBudgetExhausted { budget }))
+    };
+    match delta {
+        None => record(plan.premise.for_each_match(current, hom, &mut on_match))?,
+        Some(db) => {
+            for atom_idx in 0..plan.premise.num_atoms() {
+                for fact in db.get(&plan.premise.atom_rel(atom_idx)).into_iter().flatten() {
+                    if let Some(seed) = plan.premise.seed_from_fact(atom_idx, fact.args()) {
+                        record(plan.premise.for_each_match_seeded(
+                            atom_idx,
+                            &seed,
+                            current,
+                            hom,
+                            &mut on_match,
+                        ))?;
                     }
                 }
             }
         }
-        out.hom += stats;
     }
-    match exhausted.get() {
-        Some(budget) => Err(ChaseError::MatchBudgetExhausted { budget }),
-        None => Ok(out),
-    }
+    stats.duplicates += duplicates;
+    Ok(new)
+}
+
+/// Count and journal why a run stopped early in round `round`, and
+/// hand back its error. A search cancelled mid-round surfaces as a
+/// match-budget error with a `Cancelled` cause; it is reported as the
+/// cancellation it is.
+fn give_up(err: ChaseError, round: u64) -> ChaseError {
+    let (counter, kind) = match err {
+        ChaseError::Cancelled
+        | ChaseError::MatchBudgetExhausted { budget: Exhausted::Cancelled } => {
+            rde_obs::counter!("chase.cancelled").inc();
+            rde_obs::event("chase.cancelled", &[("round", round.into())]);
+            return ChaseError::Cancelled;
+        }
+        ChaseError::RoundBudgetExhausted { .. } => {
+            (rde_obs::counter!("chase.budget.rounds_exhausted"), "rounds")
+        }
+        ChaseError::FactBudgetExhausted { .. } => {
+            (rde_obs::counter!("chase.budget.facts_exhausted"), "facts")
+        }
+        _ => (rde_obs::counter!("chase.budget.match_exhausted"), "match"),
+    };
+    counter.inc();
+    rde_obs::event("chase.budget_exhausted", &[("kind", kind.into())]);
+    err
 }
 
 /// Chase `instance` with `dependencies` (each must have exactly one
@@ -393,22 +371,15 @@ pub fn chase(
         })
         .collect();
 
-    // The context's scope label rides on the run span, so one journal
-    // shared by many contexts can be demultiplexed per context.
-    let run_span = match options.hom.ctx.scope.as_deref() {
-        Some(scope) => rde_obs::span(
-            "chase.run",
-            &[
-                ("deps", plans.len().into()),
-                ("facts_in", instance.len().into()),
-                ("scope", scope.into()),
-            ],
-        ),
-        None => rde_obs::span(
-            "chase.run",
-            &[("deps", plans.len().into()), ("facts_in", instance.len().into())],
-        ),
-    };
+    // The context's scope label, if any, rides on the run span, so one
+    // journal shared by many contexts can be demultiplexed per context.
+    let scope = options.hom.ctx.scope.as_deref();
+    let run_fields = [
+        ("deps", plans.len().into()),
+        ("facts_in", instance.len().into()),
+        ("scope", scope.unwrap_or_default().into()),
+    ];
+    let run_span = rde_obs::span("chase.run", &run_fields[..if scope.is_some() { 3 } else { 2 }]);
     let mut current = instance.clone();
     let mut fired_keys: Vec<FxHashSet<Vec<Value>>> = vec![FxHashSet::default(); plans.len()];
     let mut fired: u64 = 0;
@@ -461,63 +432,38 @@ pub fn chase(
     }
     loop {
         if options.hom.ctx.should_inject("chase.round") || options.hom.ctx.is_cancelled() {
-            rde_obs::counter!("chase.cancelled").inc();
-            rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
-            return Err(ChaseError::Cancelled);
+            return Err(give_up(ChaseError::Cancelled, rounds));
         }
         if rounds >= options.max_rounds {
-            rde_obs::counter!("chase.budget.rounds_exhausted").inc();
-            rde_obs::event("chase.budget_exhausted", &[("kind", "rounds".into())]);
-            return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_rounds });
+            let err = ChaseError::RoundBudgetExhausted { rounds: options.max_rounds };
+            return Err(give_up(err, rounds));
         }
+        let mut stats = RoundStats {
+            delta: delta.as_deref().map_or(current.len(), <[Fact]>::len),
+            ..RoundStats::default()
+        };
         let round_span = rde_obs::span(
             "chase.round",
-            &[
-                ("round", rounds.into()),
-                ("delta", delta.as_deref().map_or(current.len(), <[Fact]>::len).into()),
-            ],
+            &[("round", rounds.into()), ("delta", stats.delta.into())],
         );
         let round_start = Instant::now();
         // Phase 1: collect this round's new triggers against the
         // *current* state, in dependency order.
-        let delta_slice = delta.as_deref();
-        let delta_buckets = delta_slice.map(DeltaBuckets::new);
-        let db = delta_buckets.as_ref();
-        let collected: Result<Vec<DepCandidates>, ChaseError> = plans
-            .iter()
-            .enumerate()
-            .map(|(di, p)| collect_dep(di, p, &current, &fired_keys, db, restricted, &options.hom))
-            .collect();
-        let per_dep = match collected {
-            Ok(per_dep) => per_dep,
-            // A search cancelled mid-round surfaces as a match-budget
-            // error with a `Cancelled` cause; report it as the
-            // cancellation it is.
-            Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Cancelled }) => {
-                rde_obs::counter!("chase.cancelled").inc();
-                rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
-                return Err(ChaseError::Cancelled);
-            }
-            Err(e) => {
-                rde_obs::counter!("chase.budget.match_exhausted").inc();
-                rde_obs::event("chase.budget_exhausted", &[("kind", "match".into())]);
-                return Err(e);
-            }
-        };
-
-        // Merge in dependency order: record every enumerated key and
-        // queue the unsatisfied ones.
-        let mut stats = RoundStats {
-            delta: delta_slice.map_or(current.len(), <[Fact]>::len),
-            ..RoundStats::default()
-        };
+        let delta_buckets = delta.as_deref().map(delta_buckets);
         let journal_on = rde_obs::journal::enabled();
         let mut pending: Vec<(usize, Vec<Value>)> = Vec::new();
-        for (di, cands) in per_dep.into_iter().enumerate() {
-            stats.matches += cands.matches;
-            stats.duplicates += cands.duplicates;
-            stats.hom += cands.hom;
-            if journal_on && (cands.matches > 0 || !cands.list.is_empty()) {
+        for (di, plan) in plans.iter().enumerate() {
+            let matches = stats.matches;
+            let new = collect_dep(
+                plan,
+                &current,
+                &mut fired_keys[di],
+                delta_buckets.as_ref(),
+                &options.hom,
+                &mut stats,
+            )
+            .map_err(|e| give_up(e, rounds))?;
+            if journal_on && (stats.matches > matches || !new.is_empty()) {
                 // Per-dependency attribution: which dependency produced
                 // how many triggers.
                 rde_obs::event(
@@ -525,41 +471,13 @@ pub fn chase(
                     &[
                         ("round", rounds.into()),
                         ("dep", di.into()),
-                        ("matches", cands.matches.into()),
-                        ("triggers", cands.list.len().into()),
+                        ("matches", (stats.matches - matches).into()),
+                        ("triggers", new.len().into()),
                     ],
                 );
             }
-            for (vals, satisfied) in cands.list {
-                if satisfied {
-                    stats.satisfied += 1;
-                    fired_keys[di].insert(vals);
-                } else {
-                    fired_keys[di].insert(vals.clone());
-                    pending.push((di, vals));
-                }
-            }
+            pending.extend(new.into_iter().map(|vals| (di, vals)));
         }
-        if pending.is_empty() {
-            // The quiescence check's search work still counts toward the
-            // run total even though no round is recorded for it.
-            hom_total += stats.hom;
-            round_span.close_with(&[("quiescent", true.into())]);
-            run_span.close_with(&[
-                ("rounds", rounds.into()),
-                ("fired", fired.into()),
-                ("facts_out", current.len().into()),
-            ]);
-            return Ok(ChaseResult {
-                instance: current,
-                fired,
-                rounds,
-                round_stats,
-                hom: hom_total,
-                provenance,
-            });
-        }
-        rounds += 1;
         stats.triggers = pending.len();
 
         // Phase 2: fire sequentially in canonical order. Sorting by
@@ -571,28 +489,28 @@ pub fn chase(
         for (di, vals) in pending {
             let plan = &plans[di];
             if restricted {
-                // Same chaos point as the collection-phase pre-check:
-                // the sequential re-check can die too, and must fail
-                // just as loudly.
-                if options.hom.ctx.should_inject("chase.restricted.check") {
-                    rde_obs::counter!("chase.budget.match_exhausted").inc();
-                    rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
-                    return Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) });
-                }
-                // Sequential semantics: an earlier firing in this round
-                // may have satisfied this trigger already.
-                match plan.satisfaction.satisfiable(&current, &vals, &options.hom, &mut stats.hom) {
-                    Verdict::Holds => continue,
-                    Verdict::Fails => {}
-                    Verdict::Unknown { budget: Exhausted::Cancelled } => {
-                        rde_obs::counter!("chase.cancelled").inc();
-                        rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
-                        return Err(ChaseError::Cancelled);
+                // The one check per trigger, at firing: facts are only
+                // ever added, so this sees everything collection saw
+                // plus this round's earlier firings. Deterministic
+                // chaos: a campaign firing `chase.restricted.check`
+                // models the check dying mid-search (a torn index, a
+                // poisoned backend). It surfaces exactly like a genuine
+                // budget cut — a typed error, never a silently unsound
+                // skip-or-fire decision.
+                let verdict = if options.hom.ctx.should_inject("chase.restricted.check") {
+                    Verdict::Unknown { budget: Exhausted::Nodes(0) }
+                } else {
+                    plan.satisfaction.satisfiable(&current, &vals, &options.hom, &mut stats.hom)
+                };
+                match verdict {
+                    Verdict::Holds => {
+                        stats.satisfied += 1;
+                        continue;
                     }
+                    Verdict::Fails => {}
                     Verdict::Unknown { budget } => {
-                        rde_obs::counter!("chase.budget.match_exhausted").inc();
-                        rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
-                        return Err(ChaseError::MatchBudgetExhausted { budget });
+                        let err = ChaseError::MatchBudgetExhausted { budget };
+                        return Err(give_up(err, rounds));
                     }
                 }
             }
@@ -612,28 +530,41 @@ pub fn chase(
                 });
             }
             for fact in fact_buf.drain(..) {
-                let is_new = if semi_naive {
-                    let is_new = current.insert(fact.clone());
-                    if is_new {
-                        new_delta.push(fact);
-                    }
-                    is_new
-                } else {
-                    current.insert(fact)
-                };
-                if is_new {
+                if current.insert(fact.clone()) {
                     stats.inserted += 1;
+                    new_delta.push(fact);
                 }
                 if current.len() > options.max_facts {
-                    rde_obs::counter!("chase.budget.facts_exhausted").inc();
-                    rde_obs::event("chase.budget_exhausted", &[("kind", "facts".into())]);
-                    return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
+                    let err = ChaseError::FactBudgetExhausted { facts: options.max_facts };
+                    return Err(give_up(err, rounds));
                 }
             }
             stats.fired += 1;
             fired += 1;
         }
         hom_total += stats.hom;
+        if stats.fired == 0 {
+            // Nothing fired: this was the quiescence check. It is not
+            // counted as a round, but its search work still counts
+            // toward the run total.
+            round_span.close_with(&[("quiescent", true.into())]);
+            let result = ChaseResult {
+                instance: current,
+                fired,
+                rounds,
+                round_stats,
+                hom: hom_total,
+                provenance,
+            };
+            run_span.close_with(&[
+                ("rounds", rounds.into()),
+                ("fired", fired.into()),
+                ("satisfied", result.satisfied().into()),
+                ("facts_out", result.instance.len().into()),
+            ]);
+            return Ok(result);
+        }
+        rounds += 1;
         // Metrics are always on (no `trace` feature needed): per-round
         // wall time plus cumulative trigger/fact counters. Each round
         // also lands on a per-variant labeled series so naive /
@@ -654,6 +585,7 @@ pub fn chase(
             ("duplicates", stats.duplicates.into()),
             ("triggers", stats.triggers.into()),
             ("fired", stats.fired.into()),
+            ("satisfied", stats.satisfied.into()),
             ("inserted", stats.inserted.into()),
         ]);
         round_stats.push(stats);
@@ -798,6 +730,31 @@ mod tests {
         // Second trigger (a, c) is satisfied by the first firing's Q(a, Z).
         assert_eq!(standard.len(), 1);
         assert!(equivalent(&oblivious, &standard));
+        // Both triggers are counted: one fired, one skipped as satisfied.
+        let r = chase(&i, &m.dependencies, &mut v, &opts).unwrap();
+        assert_eq!(r.round_stats.len(), 1);
+        let s = r.round_stats[0];
+        assert_eq!((s.triggers, s.fired, s.satisfied), (2, 1, 1));
+        assert_eq!(r.satisfied(), 1);
+    }
+
+    #[test]
+    fn restricted_rounds_exclude_the_quiescence_check() {
+        // Closure over a 3-cycle: three firing rounds (copy, then two
+        // closure steps), then a round whose triggers are all satisfied.
+        // That last round is the quiescence check and is not counted.
+        let mut v = Vocabulary::new();
+        let deps: Vec<Dependency> = ["E(x,y) -> T(x,y)", "T(x,y) & E(y,z) -> T(x,z)"]
+            .iter()
+            .map(|d| rde_deps::parse_dependency(&mut v, d).unwrap())
+            .collect();
+        let i = parse_instance(&mut v, "E(a,b)\nE(b,c)\nE(c,a)").unwrap();
+        let r =
+            chase(&i, &deps, &mut v, &ChaseOptions::for_variant(ChaseVariant::Restricted)).unwrap();
+        assert_eq!(r.rounds, 3);
+        assert_eq!(r.round_stats.len(), 3);
+        assert_eq!(r.fired, 9);
+        assert_eq!(r.instance.len(), 3 + 9);
     }
 
     #[test]
@@ -972,8 +929,7 @@ mod tests {
             hom: HomConfig { node_budget: Some(1), ..HomConfig::default() },
             ..ChaseOptions::default()
         };
-        // Budget 1 lets round 0's trivially-failing pre-checks through
-        // but cannot complete every later satisfaction search; the run
+        // Budget 1 cannot complete every satisfaction search; the run
         // must end in Ok (quiescent) or MatchBudgetExhausted — never a
         // panic or a silently wrong instance.
         match chase(&i, &m.dependencies, &mut v, &opts) {

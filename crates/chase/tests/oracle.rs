@@ -6,8 +6,9 @@
 //! variables to the active domain can be checked outright:
 //! [`PremisePlan`] must enumerate exactly those, once each, and
 //! [`SatisfactionPlan`] must find a conclusion witness exactly when one
-//! exists. Under a node budget they may stop early, but never report a
-//! match or a verdict the definition rejects.
+//! exists — by search for an existential conclusion, by membership
+//! probes for a full one. Under a node budget they may stop early, but
+//! never report a match or a verdict the definition rejects.
 
 use proptest::prelude::*;
 use rde_chase::{PremisePlan, SatisfactionPlan};
@@ -33,10 +34,16 @@ fn guards() -> impl Strategy<Value = Vec<(bool, u8, u8)>> {
     prop::collection::vec((any::<bool>(), 0u8..3, 0u8..3), 0..=2)
 }
 
-/// The premise `atoms ∧ guards` with the conclusion `∃z E(x0, z) ∧
-/// U(z)`. The first argument is always `x0`; guards name only
-/// variables the atoms use.
-fn dependency(vocab: &mut Vocabulary, atoms: &Atoms, guards: &[(bool, u8, u8)]) -> Dependency {
+/// The premise `atoms ∧ guards` with the existential conclusion `∃z
+/// E(x0, z) ∧ U(z)`, or with the full conclusion `E(x0, y) ∧ U(x0)`
+/// where `y` is the premise's last variable. The first argument is
+/// always `x0`; guards name only variables the atoms use.
+fn dependency(
+    vocab: &mut Vocabulary,
+    atoms: &Atoms,
+    guards: &[(bool, u8, u8)],
+    full: bool,
+) -> Dependency {
     let mut used = vec!["x0".to_owned()];
     let mut term = |first: bool, (var, i): (bool, u8)| match (first, var) {
         (true, _) => "x0".to_owned(),
@@ -61,7 +68,11 @@ fn dependency(vocab: &mut Vocabulary, atoms: &Atoms, guards: &[(bool, u8, u8)]) 
         let (a, b) = (&used[a as usize % used.len()], &used[b as usize % used.len()]);
         parts.push(if constant { format!("Constant({a})") } else { format!("{a} != {b}") });
     }
-    let text = format!("{} -> exists z . E(x0, z) & U(z)", parts.join(" & "));
+    let conclusion = match (full, used.last()) {
+        (true, Some(y)) => format!("E(x0, {y}) & U(x0)"),
+        _ => "exists z . E(x0, z) & U(z)".to_owned(),
+    };
+    let text = format!("{} -> {conclusion}", parts.join(" & "));
     parse_dependency(vocab, &text).unwrap_or_else(|e| panic!("{text}: {e}"))
 }
 
@@ -119,26 +130,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Full and seeded enumeration, guards included, and conclusion
-    /// satisfiability, unbounded and under a node budget.
+    /// satisfiability, existential or full, unbounded and under a node
+    /// budget.
     #[test]
     fn premise_matches_agree_with_brute_force(
         a in atoms(1, 3),
         g in guards(),
         f in atoms(0, 7),
+        full in any::<bool>(),
         k in 0u64..10,
     ) {
         let mut vocab = Vocabulary::new();
         let inst = instance(&mut vocab, &f);
-        let dep = dependency(&mut vocab, &a, &g);
+        let dep = dependency(&mut vocab, &a, &g, full);
         let plan = PremisePlan::compile(&dep.premise);
         let oracle = brute_force_matches(&dep, &inst);
-        // `∃z E(x0, z) ∧ U(z)` holds iff some `z` in the domain witnesses it.
-        let (e, u) = (vocab.find_relation("E").unwrap(), vocab.find_relation("U").unwrap());
-        let sat = SatisfactionPlan::compile(&plan, &dep.disjuncts[0]);
-        let x0 = plan.vars().iter().position(|&v| dep.var_name(v) == "x0").unwrap();
+        let conclusion = &dep.disjuncts[0];
+        let sat = SatisfactionPlan::compile(&plan, conclusion);
         for vals in &oracle {
+            // The conclusion holds iff some value of `z` (if it has one)
+            // makes every instantiated fact present.
             let witnessed = inst.active_domain().into_iter().any(|z| {
-                inst.contains(&Fact::new(e, vec![vals[x0], z])) && inst.contains(&Fact::new(u, vec![z]))
+                let value = |v: VarId| match plan.vars().iter().position(|&w| w == v) {
+                    Some(slot) => vals[slot],
+                    None => z,
+                };
+                conclusion.atoms.iter().all(|a| inst.contains(&a.instantiate(&value)))
             });
             let exact = sat.satisfiable(&inst, vals, &budget(None), &mut HomStats::default());
             prop_assert_eq!(exact, Verdict::from_bool(witnessed));

@@ -361,10 +361,25 @@ fn cmd_chase(opts: &Options) -> Result<(), CliError> {
         .map_err(chase_err)?;
     print!("{}", display::instance(&vocab, &result.instance.restrict_to(&mapping.target)));
     if opts.stats {
-        println!("# chase: {} round(s), {} trigger(s) fired", result.rounds, result.fired);
+        println!(
+            "# chase: {} round(s), {} trigger(s) fired{}",
+            result.rounds,
+            result.fired,
+            satisfied_note(&options, &result)
+        );
         print_hom_stats(&result.hom);
     }
     Ok(())
+}
+
+/// `, K trigger(s) satisfied` for a restricted run; empty otherwise, so
+/// the oblivious variants' output is unchanged.
+fn satisfied_note(options: &rde_chase::ChaseOptions, result: &rde_chase::ChaseResult) -> String {
+    if options.variant == rde_chase::ChaseVariant::Restricted {
+        format!(", {} trigger(s) satisfied", result.satisfied())
+    } else {
+        String::new()
+    }
 }
 
 fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
@@ -1044,8 +1059,8 @@ fn cmd_call(opts: &Options) -> Result<(), CliError> {
 }
 
 /// The chase workload for `profile`: run it, print its totals, and
-/// return `(fired, rounds)` for the span-tree cross-check.
-fn profile_chase(opts: &Options) -> Result<(u64, u64), CliError> {
+/// return `(fired, rounds, satisfied)` for the span-tree cross-check.
+fn profile_chase(opts: &Options) -> Result<(u64, u64, u64), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(1, "instance file")?)?;
@@ -1053,13 +1068,14 @@ fn profile_chase(opts: &Options) -> Result<(u64, u64), CliError> {
     let result = rde_chase::chase(&instance, &mapping.dependencies, &mut vocab, &options)
         .map_err(chase_err)?;
     println!(
-        "# chase: {} round(s), {} trigger(s) fired, {} fact(s)",
+        "# chase: {} round(s), {} trigger(s) fired, {} fact(s){}",
         result.rounds,
         result.fired,
-        result.instance.len()
+        result.instance.len(),
+        satisfied_note(&options, &result)
     );
     print_hom_stats(&result.hom);
-    Ok((result.fired, result.rounds))
+    Ok((result.fired, result.rounds, result.satisfied()))
 }
 
 /// `rde profile <journal.jsonl> --request-id N` — analyze a journal
@@ -1140,7 +1156,7 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     match crate::profile::render_span_tree(&summary.records) {
         Some(tree) => {
             print!("{tree}");
-            if let Some((fired, rounds)) = chase_totals {
+            if let Some((fired, rounds, satisfied)) = chase_totals {
                 println!(
                     "# chase.run wall time: {} µs",
                     crate::profile::total_elapsed_us(&summary.records, "chase.run")
@@ -1151,10 +1167,13 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
                     crate::profile::total_close_field(&summary.records, "chase.run", "fired");
                 let span_rounds =
                     crate::profile::total_close_field(&summary.records, "chase.run", "rounds");
-                if span_fired != fired || span_rounds != rounds {
+                let span_satisfied =
+                    crate::profile::total_close_field(&summary.records, "chase.run", "satisfied");
+                if (span_fired, span_rounds, span_satisfied) != (fired, rounds, satisfied) {
                     return Err(CliError::Message(format!(
                         "span tree disagrees with chase stats: span fired={span_fired} \
-                         rounds={span_rounds}, stats fired={fired} rounds={rounds}"
+                         rounds={span_rounds} satisfied={span_satisfied}, stats fired={fired} \
+                         rounds={rounds} satisfied={satisfied}"
                     )));
                 }
             }

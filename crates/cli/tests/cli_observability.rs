@@ -89,6 +89,36 @@ fn profile_prints_a_span_tree_consistent_with_stats() {
 }
 
 #[test]
+fn restricted_runs_report_satisfied_triggers() {
+    // The second trigger, (a, c), is satisfied by the first firing.
+    let (map, inst) = (tmp("skip.map"), tmp("skip.inst"));
+    std::fs::write(&map, "source: P/2\ntarget: Q/2\nP(x, y) -> exists z . Q(x, z)\n").unwrap();
+    std::fs::write(&inst, "P(a, b)\nP(a, c)\n").unwrap();
+    let (map, inst) = (map.to_string_lossy().into_owned(), inst.to_string_lossy().into_owned());
+    let run = |args: &[&str]| {
+        let output = rde().args(args).output().expect("spawn rde");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?} failed: {stderr}");
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    let stats = ["chase", &map, &inst, "--stats", "--variant"];
+    let restricted = run(&[&stats[..], &["restricted"]].concat());
+    assert!(
+        restricted.contains("# chase: 1 round(s), 1 trigger(s) fired, 1 trigger(s) satisfied\n"),
+        "{restricted}"
+    );
+    let oblivious = run(&[&stats[..], &["semi-naive"]].concat());
+    assert!(oblivious.contains("# chase: 1 round(s), 2 trigger(s) fired\n"), "{oblivious}");
+    // `profile` cross-checks the chase.run span's `satisfied` against
+    // the returned stats and fails on a mismatch.
+    let profiled = run(&["profile", &map, &inst, "--variant", "restricted"]);
+    assert!(profiled.contains("fact(s), 1 trigger(s) satisfied\n"), "{profiled}");
+    for path in [map, inst] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn profile_reports_span_latency_quantiles() {
     let output = rde()
         .args(["profile", &example("two_step.map"), &example("flights.inst")])

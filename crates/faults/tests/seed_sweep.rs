@@ -437,9 +437,9 @@ fn checkpoint_write_faults_strand_a_tmp_that_startup_sweeps() {
 }
 
 /// Family 7: the restricted chase under `chase.restricted.check` —
-/// the injection point sits on the Standard-mode satisfaction check,
-/// so a fire looks exactly like the satisfaction search running out of
-/// nodes. A fire must surface as the typed
+/// the injection point sits on the one satisfaction check per
+/// trigger, at firing, so a fire looks exactly like the satisfaction
+/// search running out of nodes. A fire must surface as the typed
 /// [`ChaseError::MatchBudgetExhausted`] (never an unsoundly-pruned
 /// `Ok`), and a campaign that never fired must land bit-identical to
 /// the clean restricted reference run.

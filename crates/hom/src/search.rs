@@ -5,7 +5,8 @@
 //! nulls of `I₁` as CSP variables and the facts of `I₁` as constraints,
 //! and solve fact-at-a-time: pick an uncovered source fact, enumerate the
 //! target tuples it can map onto (via the column posting lists of the
-//! bound positions), unify, recurse.
+//! bound positions, or, once every position is bound, the one tuple
+//! the relation's dedup map holds), unify, recurse.
 //!
 //! Every search runs under [`HomConfig`]'s (optional) node and
 //! wall-clock budgets. Exhausting a budget is not an error: it is a
@@ -163,69 +164,202 @@ impl CompiledPattern {
     /// every variable of the skipped atom — this is the semi-naive
     /// chase's delta seeding, where one atom is unified with a delta
     /// fact and the rest are matched against the full instance.
+    ///
+    /// A seed that binds every slot leaves nothing to search: each atom
+    /// is answered by one membership probe (see [`Self::probe`]) before
+    /// any search state is allocated.
     pub fn for_each_match(
         &self,
         skip: Option<usize>,
         target: &Instance,
         seed: &[Option<Value>],
         config: &HomConfig,
-        on_found: impl FnMut(&[Option<Value>]) -> bool,
+        mut on_found: impl FnMut(&[Option<Value>]) -> bool,
     ) -> SearchReport {
-        static EMPTY: std::sync::OnceLock<RelationData> = std::sync::OnceLock::new();
-        let empty = EMPTY.get_or_init(RelationData::default);
-        let facts: Vec<PatternFact<'_>> = self
-            .atoms
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| Some(i) != skip)
-            .map(|(_, a)| PatternFact {
-                rel_data: target.relation(a.rel).unwrap_or(empty),
-                args: &a.args,
-            })
-            .collect();
-        let mut vals: Vec<Option<Value>> = vec![None; self.n_vars as usize];
-        for (slot, &v) in seed.iter().enumerate().take(vals.len()) {
-            vals[slot] = v;
+        let n_vars = self.n_vars as usize;
+        if let Some(bound) = seed.get(..n_vars).filter(|s| s.iter().all(Option::is_some)) {
+            let value = |x: u32| bound[x as usize];
+            return self.run(config, |stats, _, deadline| {
+                if self.probe_atoms(skip, target, value, config, deadline, stats)? {
+                    on_found(bound);
+                }
+                Ok(())
+            });
         }
-        let mut searcher = Searcher {
-            facts,
-            vals,
-            config,
-            deadline: config.time_budget.map(|d| Instant::now() + d),
-            stats: HomStats::default(),
-            trail: Vec::new(),
-            prunes: 0,
-            exhausted: None,
-            on_found,
-        };
-        // Entry checks give cancellation a per-*search* granularity even
-        // when every individual search is far shorter than one node
-        // stride (the chase fires thousands of tiny premise matches).
-        // The injection point simulates spurious budget exhaustion for
-        // the resilience suite; both paths still flush metrics below.
-        if config.ctx.should_inject("hom.search.exhaust") {
-            searcher.exhausted = Some(Exhausted::Nodes(0));
-        } else if config.ctx.is_cancelled() {
-            searcher.exhausted = Some(Exhausted::Cancelled);
-        } else {
+        self.run(config, |stats, prunes, deadline| {
+            static EMPTY: std::sync::OnceLock<RelationData> = std::sync::OnceLock::new();
+            let empty = EMPTY.get_or_init(RelationData::default);
+            let facts: Vec<PatternFact<'_>> = self
+                .atoms
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| Some(i) != skip)
+                .map(|(_, a)| PatternFact {
+                    rel_data: target.relation(a.rel).unwrap_or(empty),
+                    args: &a.args,
+                })
+                .collect();
+            let mut vals: Vec<Option<Value>> = vec![None; n_vars];
+            for (slot, &v) in seed.iter().enumerate().take(n_vars) {
+                vals[slot] = v;
+            }
+            let mut searcher = Searcher {
+                facts,
+                vals,
+                config,
+                deadline,
+                stats: HomStats::default(),
+                trail: Vec::new(),
+                prunes: 0,
+                exhausted: None,
+                on_found,
+            };
             let mut remaining: Vec<usize> = (0..searcher.facts.len()).collect();
             searcher.solve(&mut remaining);
-        }
-        // Every homomorphism search in the system (chase premise
-        // matching, hom deciders, core minimization) funnels through
-        // here, so this is the single metrics flush point for the
-        // engine. One relaxed atomic add per counter per *search*, not
-        // per node — invisible next to the search itself.
+            *stats = searcher.stats;
+            *prunes = searcher.prunes;
+            searcher.exhausted.map_or(Ok(()), Err)
+        })
+    }
+
+    /// Decide the pattern with every slot bound by `vals` (slot `v` is
+    /// `vals[v]`; `vals` must cover [`Self::num_vars`]): every atom's
+    /// instantiated tuple must be a fact of `target`. Each atom is one
+    /// lookup in its relation's dedup map, so no seed or search state
+    /// is built. A present tuple costs one node against the budget, as
+    /// a row tried by the search does; an absent tuple costs none and
+    /// is a definite miss. The report counts one found match on a hit.
+    pub fn probe(&self, target: &Instance, vals: &[Value], config: &HomConfig) -> SearchReport {
+        debug_assert!(vals.len() >= self.num_vars());
+        self.run(config, |stats, _, deadline| {
+            let value = |x: u32| Some(vals[x as usize]);
+            self.probe_atoms(None, target, value, config, deadline, stats).map(drop)
+        })
+    }
+
+    /// The entry contract every search shares. Entry checks give
+    /// cancellation a per-*search* granularity even when every
+    /// individual search is far shorter than one node stride (the chase
+    /// fires thousands of tiny premise matches). The injection point
+    /// simulates spurious budget exhaustion for the resilience suite.
+    /// Both paths still flush metrics: every homomorphism search in the
+    /// system (chase premise matching, satisfaction checks, hom
+    /// deciders, core minimization) funnels through here, so this is
+    /// the single metrics flush point for the engine. One relaxed
+    /// atomic add per counter per *search*, not per node — invisible
+    /// next to the search itself.
+    fn run(
+        &self,
+        config: &HomConfig,
+        body: impl FnOnce(&mut HomStats, &mut u64, Option<Instant>) -> Result<(), Exhausted>,
+    ) -> SearchReport {
+        let deadline = config.time_budget.map(|d| Instant::now() + d);
+        let mut stats = HomStats::default();
+        let mut prunes = 0;
+        let exhausted = if config.ctx.should_inject("hom.search.exhaust") {
+            Some(Exhausted::Nodes(0))
+        } else if config.ctx.is_cancelled() {
+            Some(Exhausted::Cancelled)
+        } else {
+            body(&mut stats, &mut prunes, deadline).err()
+        };
         rde_obs::counter!("hom.search.searches").inc();
-        rde_obs::counter!("hom.search.nodes").add(searcher.stats.nodes);
-        rde_obs::counter!("hom.search.backtracks").add(searcher.stats.backtracks);
-        rde_obs::counter!("hom.search.found").add(searcher.stats.found);
-        rde_obs::counter!("hom.search.prunes").add(searcher.prunes);
-        if searcher.exhausted.is_some() {
+        rde_obs::counter!("hom.search.nodes").add(stats.nodes);
+        rde_obs::counter!("hom.search.backtracks").add(stats.backtracks);
+        rde_obs::counter!("hom.search.found").add(stats.found);
+        rde_obs::counter!("hom.search.prunes").add(prunes);
+        if exhausted.is_some() {
             rde_obs::counter!("hom.search.exhausted").inc();
         }
-        SearchReport { stats: searcher.stats, exhausted: searcher.exhausted }
+        SearchReport { stats, exhausted }
     }
+
+    /// Probe every atom but `skip` under a full assignment, in atom
+    /// order. `Ok(true)`: every tuple is present, and the match is
+    /// counted as found; `Ok(false)`: one is absent (the probe stops at
+    /// it); `Err`: a budget ran out.
+    fn probe_atoms(
+        &self,
+        skip: Option<usize>,
+        target: &Instance,
+        value: impl Fn(u32) -> Option<Value>,
+        config: &HomConfig,
+        deadline: Option<Instant>,
+        stats: &mut HomStats,
+    ) -> Result<bool, Exhausted> {
+        for (i, atom) in self.atoms.iter().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            let arg_value = |arg: PatArg| match arg {
+                PatArg::Fixed(v) => Some(v),
+                PatArg::Var(x) => value(x),
+            };
+            let row = target
+                .relation(atom.rel)
+                .and_then(|data| bound_row(data, &atom.args, arg_value).flatten());
+            rde_obs::histogram!("chase.match.candidates").record(u64::from(row.is_some()));
+            if row.is_none() {
+                return Ok(false);
+            }
+            charge_node(stats, config, deadline)?;
+        }
+        stats.found += 1;
+        Ok(true)
+    }
+}
+
+/// Count one unification attempt against `config`'s budgets. The
+/// counter is incremented first, then compared, so a budget of N
+/// permits exactly N attempts (see [`HomConfig::node_budget`]); the
+/// deadline and the cancel token are polled every
+/// `TIME_CHECK_STRIDE` nodes.
+fn charge_node(
+    stats: &mut HomStats,
+    config: &HomConfig,
+    deadline: Option<Instant>,
+) -> Result<(), Exhausted> {
+    stats.nodes += 1;
+    if let Some(budget) = config.node_budget {
+        if stats.nodes > budget {
+            return Err(Exhausted::Nodes(budget));
+        }
+    }
+    if stats.nodes.is_multiple_of(TIME_CHECK_STRIDE) {
+        if let Some(deadline) = deadline {
+            if Instant::now() >= deadline {
+                return Err(Exhausted::Time(config.time_budget.unwrap_or_default()));
+            }
+        }
+        if config.ctx.is_cancelled() {
+            return Err(Exhausted::Cancelled);
+        }
+    }
+    Ok(())
+}
+
+/// Arity up to which [`bound_row`] builds its lookup key on the stack.
+const INLINE_ARITY: usize = 8;
+
+/// The row of an atom whose arguments are all bound: `Some(row)` with
+/// the dedup map's answer, or `None` when some argument is unbound.
+fn bound_row(
+    data: &RelationData,
+    args: &[PatArg],
+    value: impl Fn(PatArg) -> Option<Value>,
+) -> Option<Option<u32>> {
+    let mut inline = [Value::Const(rde_model::ConstId(0)); INLINE_ARITY];
+    let mut heap = Vec::new();
+    let key: &mut [Value] = if args.len() <= INLINE_ARITY {
+        &mut inline[..args.len()]
+    } else {
+        heap.resize(args.len(), Value::Const(rde_model::ConstId(0)));
+        &mut heap
+    };
+    for (k, &arg) in key.iter_mut().zip(args) {
+        *k = value(arg)?;
+    }
+    Some(data.row_of(key))
 }
 
 struct PatternFact<'a> {
@@ -256,7 +390,7 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     on_found: F,
 }
 
-impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
+impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
     /// Returns `true` if enumeration should stop (callback said stop,
     /// or a budget was exhausted — see [`Self::exhausted`]).
     fn solve(&mut self, remaining: &mut Vec<usize>) -> bool {
@@ -274,39 +408,14 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
         stopped
     }
 
-    fn try_rows(&mut self, fact_idx: usize, rows: Rows, remaining: &mut Vec<usize>) -> bool {
-        let n_rows = match &rows {
-            Rows::All(n) => *n,
-            Rows::Some(v) => v.len(),
-        };
+    fn try_rows(&mut self, fact_idx: usize, rows: Rows<'_>, remaining: &mut Vec<usize>) -> bool {
+        let n_rows = rows.len();
         rde_obs::histogram!("chase.match.candidates").record(n_rows as u64);
         for i in 0..n_rows {
-            let row = match &rows {
-                Rows::All(_) => i as u32,
-                Rows::Some(v) => v[i],
-            };
-            // Budget check: increment first, then compare, so a budget
-            // of N permits exactly N unification attempts (see
-            // [`HomConfig::node_budget`]).
-            self.stats.nodes += 1;
-            if let Some(budget) = self.config.node_budget {
-                if self.stats.nodes > budget {
-                    self.exhausted = Some(Exhausted::Nodes(budget));
-                    return true;
-                }
-            }
-            if self.stats.nodes.is_multiple_of(TIME_CHECK_STRIDE) {
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        let budget = self.config.time_budget.unwrap_or_default();
-                        self.exhausted = Some(Exhausted::Time(budget));
-                        return true;
-                    }
-                }
-                if self.config.ctx.is_cancelled() {
-                    self.exhausted = Some(Exhausted::Cancelled);
-                    return true;
-                }
+            let row = rows.row(i);
+            if let Err(budget) = charge_node(&mut self.stats, self.config, self.deadline) {
+                self.exhausted = Some(budget);
+                return true;
             }
             let mark = self.trail.len();
             if self.unify(fact_idx, row) {
@@ -381,10 +490,15 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
     /// the cheapest bound column's posting list, in ascending row order,
     /// so match emission order — and therefore everything downstream:
     /// trigger order, fresh-null numbering, checkpoint bytes — is
-    /// deterministic.
-    fn candidate_rows(&self, fact_idx: usize) -> Rows {
+    /// deterministic. A fully bound fact can only unify with its own
+    /// tuple, so it gets that one row from the dedup map (if present):
+    /// the only row of any posting list that would have unified.
+    fn candidate_rows(&self, fact_idx: usize) -> Rows<'a> {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
+        if let Some(row) = bound_row(data, args, |arg| self.arg_value(arg)) {
+            return Rows::Bound(row);
+        }
         let mut best: Option<&[u32]> = None;
         for (col, arg) in args.iter().enumerate() {
             if let Some(v) = self.arg_value(*arg) {
@@ -395,7 +509,7 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
             }
         }
         match best {
-            Some(rows) => Rows::Some(rows.to_vec()),
+            Some(rows) => Rows::Some(rows),
             // No bound column: scan the relation.
             None => Rows::All(data.len()),
         }
@@ -427,11 +541,32 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
     }
 }
 
-enum Rows {
+enum Rows<'a> {
     /// All rows `0..n` of the relation.
     All(usize),
-    /// An explicit row list from a posting-list lookup.
-    Some(Vec<u32>),
+    /// An explicit row list from a posting-list lookup, borrowed from
+    /// the target instance.
+    Some(&'a [u32]),
+    /// The row of a fully bound fact's tuple, if present.
+    Bound(Option<u32>),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::All(n) => *n,
+            Rows::Some(rows) => rows.len(),
+            Rows::Bound(row) => usize::from(row.is_some()),
+        }
+    }
+
+    fn row(&self, i: usize) -> u32 {
+        match self {
+            Rows::All(_) => i as u32,
+            Rows::Some(rows) => rows[i],
+            Rows::Bound(row) => row.as_slice()[i],
+        }
+    }
 }
 
 /// Compile the facts of `source` into a [`CompiledPattern`] whose
@@ -749,6 +884,51 @@ mod tests {
         let (hit, report) = find_first(&cfg_short);
         assert!(!hit);
         assert_eq!(report.exhausted, Some(Exhausted::Nodes(need - 1)));
+    }
+
+    #[test]
+    fn fully_bound_probe_counts_are_exact() {
+        // E(x, y) ∧ U(y) seeded with x := c0, y := c1. The distractor
+        // rows share a column value with E(c0, c1), so a posting-list
+        // scan would try them; the probe tries only the tuple itself.
+        let pattern = CompiledPattern::new(vec![
+            PatternAtom { rel: RelId(0), args: vec![PatArg::Var(0), PatArg::Var(1)] },
+            PatternAtom { rel: RelId(1), args: vec![PatArg::Var(1)] },
+        ]);
+        let vals = [c(0), c(1)];
+        let seed = vals.map(Some);
+        let present =
+            inst(&[(0, &[c(0), c(2)]), (0, &[c(3), c(1)]), (0, &[c(0), c(1)]), (1, &[c(1)])]);
+        let first_absent = inst(&[(0, &[c(0), c(2)]), (1, &[c(1)])]);
+        // Both entry points: a fully seeded search and the probe itself.
+        let verdicts = |target: &Instance, cfg: &HomConfig| {
+            let seeded = pattern.for_each_match(None, target, &seed, cfg, |_| true);
+            let probed = pattern.probe(target, &vals, cfg);
+            assert_eq!(seeded, probed);
+            let verdict = match (probed.stats.found, probed.exhausted) {
+                (1, None) => Verdict::Holds,
+                (0, None) => Verdict::Fails,
+                (_, exhausted) => Verdict::Unknown { budget: exhausted.unwrap() },
+            };
+            (verdict, probed.stats)
+        };
+        let unbounded = HomConfig::default();
+        assert_eq!(
+            verdicts(&present, &unbounded),
+            (Verdict::Holds, HomStats { nodes: 2, backtracks: 0, found: 1 })
+        );
+        assert_eq!(verdicts(&first_absent, &unbounded), (Verdict::Fails, HomStats::default()));
+        let one = HomConfig { node_budget: Some(1), ..HomConfig::default() };
+        let (verdict, stats) = verdicts(&present, &one);
+        assert_eq!(verdict, Verdict::Unknown { budget: Exhausted::Nodes(1) });
+        assert_eq!(stats.nodes, 2, "the cut attempt is counted, not performed");
+        let ctx = rde_faults::ExecContext::cancellable();
+        ctx.cancel.cancel();
+        let cancelled = HomConfig { ctx, ..HomConfig::default() };
+        assert_eq!(
+            verdicts(&present, &cancelled),
+            (Verdict::Unknown { budget: Exhausted::Cancelled }, HomStats::default())
+        );
     }
 
     #[test]

@@ -83,6 +83,14 @@ impl RelationData {
         self.dedup.contains_key(tuple)
     }
 
+    /// The row id of this exact tuple, if present: one dedup-map lookup,
+    /// the membership probe homomorphism search uses for an atom whose
+    /// arguments are all bound.
+    #[inline]
+    pub fn row_of(&self, tuple: &[Value]) -> Option<u32> {
+        self.dedup.get(tuple).copied()
+    }
+
     fn insert(&mut self, tuple: &[Value]) -> bool {
         if self.dedup.contains_key(tuple) {
             return false;
